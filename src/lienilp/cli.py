@@ -1,7 +1,9 @@
 """Command line interface: analyze | scan | selftest.
 
-Exit codes: 0 success, 2 build/usage error, 3 internal consistency
-failure (a cross-check mismatch or a failed acceptance criterion).
+Exit codes: 0 success, 2 build/usage error (including a group the
+analysis cannot handle, such as the oracle forced onto a group with no
+dense table), 3 internal consistency failure (a cross-check mismatch
+or a failed acceptance criterion).
 """
 
 from __future__ import annotations
@@ -84,8 +86,13 @@ def cmd_analyze(args) -> int:
     except (LieNilpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    report = analyze(group, args.prime, name=args.group,
-                     run_oracle=_oracle_choice(args), oracle_cap=args.cap)
+    try:
+        report = analyze(group, args.prime, name=args.group,
+                         run_oracle=_oracle_choice(args),
+                         oracle_cap=args.cap)
+    except LieNilpError as exc:
+        print(f"error: {args.group}: {exc}", file=sys.stderr)
+        return EXIT_BUILD
     if args.json:
         _dump_json(report.to_json_dict())
     else:
@@ -132,9 +139,15 @@ def cmd_scan(args) -> int:
     except (LieNilpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    reports = [analyze(g, args.prime, name=name,
-                       run_oracle=_oracle_choice(args), oracle_cap=args.cap)
-               for name, g in selected]
+    reports = []
+    for name, g in selected:
+        try:
+            reports.append(analyze(g, args.prime, name=name,
+                                   run_oracle=_oracle_choice(args),
+                                   oracle_cap=args.cap))
+        except LieNilpError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return EXIT_BUILD
     summary = _scan_summary(reports, catalog, args.prime)
     if args.json:
         _dump_json({"reports": [r.to_json_dict() for r in reports],

@@ -93,6 +93,10 @@ class OracleCapExceededError(LieNilpError):
     """The group is too large for the explicit group-algebra oracle."""
 
 
+class NotGeneratingError(LieNilpError):
+    """A group's stored generators do not generate the whole group."""
+
+
 class NoConvergenceError(LieNilpError):
     """The Lie power chain did not reach zero within the step limit."""
 

@@ -23,6 +23,7 @@ from .groups import (
 )
 from .oracle import (
     DEFAULT_ORACLE_CAP,
+    GroupAlgebra,
     dimension_series_direct,
     is_lie_nilpotent,
     lower_lie_powers,
@@ -157,11 +158,12 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     if run_oracle is None:
         run_oracle = g.order <= oracle_cap
     if run_oracle:
-        cap = max(oracle_cap, g.order)
         if ln:
-            upper_dims, t_up = upper_lie_powers(g, prime, oracle_cap=cap)
-            lower_dims, t_low = lower_lie_powers(g, prime, oracle_cap=cap)
-            direct = dimension_series_direct(g, prime, oracle_cap=cap)
+            algebra = GroupAlgebra(g, prime,
+                                   oracle_cap=max(oracle_cap, g.order))
+            upper_dims, t_up = upper_lie_powers(algebra, prime)
+            lower_dims, t_low = lower_lie_powers(algebra, prime)
+            direct = dimension_series_direct(algebra, prime)
             oracle = OracleResult(ran=True, t_upper=t_up, t_lower=t_low,
                                   upper_dims=upper_dims,
                                   lower_dims=lower_dims,

@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the package's own algorithms:
 closures iterate all pairwise products to a fixed point, and commutator
 subgroups enumerate every commutator pair, so they stay independent of
-the generator-based implementations they check.
+the generator-based implementations they check.  The group-algebra
+reference likewise closes ideals under every delta_g and brackets
+against every delta_g, with its own row reduction.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from lienilp.catalog import Catalog
@@ -41,6 +44,82 @@ def brute_lower_central(g: FiniteGroup) -> list[frozenset[int]]:
         series.append(nxt)
         if len(nxt) == 1:
             return series
+
+
+def brute_rref(rows, p: int, width: int) -> np.ndarray:
+    """Reduced row echelon basis over GF(p), one column sweep at a time."""
+    m = np.array(rows, dtype=np.int64).reshape(-1, width) % p
+    r = 0
+    for c in range(width):
+        if r == m.shape[0]:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        lead = r + nz[0]
+        m[[r, lead]] = m[[lead, r]]
+        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        r += 1
+    return m[:r]
+
+
+def _brute_perms(g: FiniteGroup) -> tuple[list, list]:
+    """Coordinate permutations of x -> delta_h x and x -> x delta_h for
+    every h: coordinate k of the image reads h^-1 k, resp. k h^-1."""
+    n = g.order
+    left = [[g.multiply(g.inverse(h), k) for k in range(n)]
+            for h in range(n)]
+    right = [[g.multiply(k, g.inverse(h)) for k in range(n)]
+             for h in range(n)]
+    return left, right
+
+
+def brute_ideal_closure(g: FiniteGroup, p: int, rows) -> np.ndarray:
+    """Row span closed under left and right multiplication by every
+    delta_h, grown to a fixed point."""
+    left, right = _brute_perms(g)
+    basis = brute_rref(rows, p, g.order)
+    while True:
+        images = [basis[:, perm] for perm in left + right]
+        grown = brute_rref(np.vstack([basis] + images), p, g.order)
+        if grown.shape[0] == basis.shape[0]:
+            return grown
+        basis = grown
+
+
+def brute_brackets(g: FiniteGroup, p: int, basis) -> np.ndarray:
+    """Every [b, delta_h] = b delta_h - delta_h b for basis rows b."""
+    left, right = _brute_perms(g)
+    return np.vstack([np.zeros((0, g.order), dtype=np.int64)]
+                     + [(basis[:, right[h]] - basis[:, left[h]]) % p
+                        for h in range(g.order)])
+
+
+def brute_lie_chains(g: FiniteGroup, p: int, max_steps: int = 64):
+    """Upper dims, lower dims and direct dimension subgroup orders of a
+    Lie nilpotent KG, each straight from its all-elements definition."""
+    n = g.order
+    full = np.eye(n, dtype=np.int64)
+    upper = [full]
+    while upper[-1].shape[0] and len(upper) <= max_steps:
+        upper.append(brute_ideal_closure(
+            g, p, brute_brackets(g, p, upper[-1])))
+    direct = []
+    for term in upper:
+        members = sum(
+            brute_rref(np.vstack([term, full[h] - full[0]]), p, n).shape[0]
+            == term.shape[0] for h in range(n))
+        direct.append(members)
+        if members == 1:
+            break
+    lower, span = [n], full
+    while lower[-1] and len(lower) <= max_steps:
+        span = brute_rref(brute_brackets(g, p, span), p, n)
+        lower.append(brute_ideal_closure(g, p, span).shape[0])
+    return [t.shape[0] for t in upper], lower, direct
 
 
 @pytest.fixture(scope="session")

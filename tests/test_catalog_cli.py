@@ -123,6 +123,27 @@ def test_analyze_unknown_group_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_oracle_without_table_exits_2(capsys):
+    """A permutation-backed group has no dense table for the oracle: a
+    one-line error and exit 2, not a traceback."""
+    rc = main(["analyze", "C5wrC5", "--prime", "5", "--oracle"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: C5wrC5:")
+    assert err.count("\n") == 1
+
+
+def test_scan_oracle_without_table_exits_2(tmp_path, capsys):
+    f = tmp_path / "perm.jsonl"
+    f.write_text('{"kind": "wreath_cyclic", "name": "C5wrC5", "p": 5, '
+                 '"q": 5}\n')
+    rc = main(["scan", "--prime", "5", "--oracle", "--catalog", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: C5wrC5:")
+    assert err.count("\n") == 1
+
+
 def test_analyze_json_deterministic(capsys):
     rc = main(["analyze", "C3wrC3", "--prime", "3", "--json", "--no-oracle"])
     first = capsys.readouterr().out

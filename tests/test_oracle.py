@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from lienilp.errors import (
+    CapExceededError,
     DimensionMismatchError,
     NoConvergenceError,
+    NotGeneratingError,
     OracleCapExceededError,
 )
-from lienilp.groups import cyclic_group, lower_central_series
+from lienilp.groups import (
+    FiniteGroup,
+    cyclic_group,
+    lower_central_series,
+    subgroup_generated,
+)
 from lienilp.oracle import (
+    FpSubspace,
     GroupAlgebra,
+    _EchelonBuilder,
     dimension_series_direct,
     dimension_subgroup_direct,
     echelonize,
@@ -23,6 +32,9 @@ from lienilp.oracle import (
 )
 from lienilp.dimension import d_vector as series_d_vector, \
     series_recursive, upper_index_jennings
+from lienilp.report import analyze
+
+from conftest import brute_ideal_closure, brute_lie_chains
 
 
 def naive_convolution(g, p, x, y):
@@ -126,6 +138,48 @@ def test_rref_canonical():
     assert echelonize(rows, 3) == echelonize(shuffled, 3)
 
 
+# 2^31 - 1 and 2^61 - 1 are prime: products of two residues overflow a
+# float64 mantissa, and at the second also int64.
+LARGE_PRIMES = [2 ** 31 - 1, 2 ** 61 - 1]
+
+
+def _random_rows(p, count, width, seed):
+    rng = np.random.default_rng(seed)
+    return [[int(x) % p for x in rng.integers(0, 2 ** 62, width)]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_builder_exact_at_large_prime(p):
+    v = _random_rows(p, 2, 6, seed=1)
+    builder = _EchelonBuilder(p, 6)
+    assert builder.absorb(v).shape[0] == 2
+    both = [(a + b) % p for a, b in zip(*v)]
+    assert builder.absorb([both]).shape[0] == 0
+    assert builder.snapshot().dim == 2
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_from_vectors_exact_at_large_prime(p):
+    v = _random_rows(p, 20, 30, seed=2)
+    s = FpSubspace.from_vectors(v, p)
+    assert s.dim == 20
+    assert s.contains_all(v)
+    assert s.sum(s) == s
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_algebra_exact_at_large_prime(built, p):
+    """KG of an abelian group is Lie nilpotent at every p."""
+    g = built("C4xC2")
+    alg = GroupAlgebra(g, p)
+    x = np.full(8, p - 1, dtype=alg.dtype)
+    assert np.array_equal(alg.multiply(x, x), np.full(8, 8))
+    assert upper_lie_powers(alg, p) == ([8, 0], 2)
+    assert lower_lie_powers(alg, p) == ([8, 0], 2)
+    assert [s.order for s in dimension_series_direct(alg, p)] == [8, 1]
+
+
 # --- ideals ---------------------------------------------------------------------
 
 
@@ -224,6 +278,79 @@ def test_oracle_cap(built):
         upper_lie_powers(built("C3wrC3"), 3, oracle_cap=64)
     with pytest.raises(OracleCapExceededError):
         GroupAlgebra(built("C5wrC5"), 5)
+
+
+def test_generators_checked_on_every_catalog_group(catalog):
+    """Every catalog group passes the generator check; a
+    permutation-backed one has no algebra (no dense table), so its
+    generators are checked directly."""
+    for entry in catalog.entries:
+        g = catalog.build(entry.name)
+        if g.backing == "table":
+            assert GroupAlgebra(g, 2, oracle_cap=g.order).n == g.order
+        else:
+            with pytest.raises(CapExceededError):
+                GroupAlgebra(g, 2, oracle_cap=g.order)
+            assert subgroup_generated(g, g.generators).order == g.order
+
+
+def test_non_generating_generators_rejected(built):
+    d8 = built("D8")
+    rotations = FiniteGroup(table=d8.dense_table(),
+                            generators=d8.generators[:1])
+    assert subgroup_generated(d8, d8.generators[:1]).order == 4
+    with pytest.raises(NotGeneratingError):
+        GroupAlgebra(rotations, 2)
+    with pytest.raises(NotGeneratingError):
+        upper_lie_powers(rotations, 2)
+
+
+def test_chains_match_all_elements_reference(catalog):
+    """Generators-only chains equal the all-elements definitions (ideal
+    closure under every delta_g, brackets against every delta_g) on
+    every Lie nilpotent catalog group of order <= 32."""
+    checked = 0
+    for entry in catalog.entries:
+        g = catalog.build(entry.name)
+        if g.order > 32:
+            continue
+        for p in (2, 3, 5):
+            if not is_lie_nilpotent(g, p):
+                continue
+            oracle = analyze(g, p, run_oracle=True).oracle
+            upper, lower, direct = brute_lie_chains(g, p)
+            assert oracle.upper_dims == upper, f"{entry.name}@p{p}"
+            assert oracle.lower_dims == lower, f"{entry.name}@p{p}"
+            assert oracle.direct_series_orders == direct, \
+                f"{entry.name}@p{p}"
+            checked += 1
+    assert checked >= 30
+
+
+def test_ideal_closure_matches_all_elements_reference(built):
+    """Ideals of random one- and two-element spans, closed over the
+    generators, equal the closure under every delta_g."""
+    rng = np.random.default_rng(5)
+    for name, p in (("S3", 2), ("S3", 3), ("D8", 2), ("Q8", 3),
+                    ("H27", 3), ("D8sd", 5)):
+        g = built(name)
+        for rows in (1, 1, 2):
+            vecs = rng.integers(0, p, (rows, g.order))
+            ideal = ideal_generated(echelonize(vecs, p, g.order), g)
+            assert np.array_equal(ideal.basis,
+                                  brute_ideal_closure(g, p, vecs)), name
+
+
+def test_upper_chain_shared_by_one_algebra(built):
+    alg = GroupAlgebra(built("C2wrC4"), 2)
+    dims, t = upper_lie_powers(alg, 2)
+    chain = list(alg._upper)
+    series = dimension_series_direct(alg, 2)
+    assert alg._upper == chain
+    assert len(series) <= t
+    assert dimension_subgroup_direct(alg, 2, 2) == series[1]
+    with pytest.raises(ValueError):
+        upper_lie_powers(alg, 3)
 
 
 # --- dimension subgroups straight from the definition ------------------------------
