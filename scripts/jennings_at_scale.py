@@ -3,8 +3,12 @@
 
 The brute-force oracle is quadratic-space in |G| and stops near order
 128.  The subgroup-series route only touches group elements, so it
-handles the order-2048 wreath product (dense table) and the order-15625
-one (permutation backing, no table at all) in well under a second each.
+handles the order-2048 wreath product (dense table), the order-15625
+one (permutation backing, no table at all) and the order-65536 direct
+product C2wrC8 x C8 x C4 (product backing: each factor multiplies on
+its own) in well under a second each, build included.
+
+    python3 scripts/jennings_at_scale.py
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lienilp.dimension import d_vector, series_recursive, \
     upper_index_jennings
-from lienilp.groups import lower_central_series, wreath_cyclic
+from lienilp.groups import cyclic_group, direct_product, \
+    lower_central_series, wreath_cyclic
 
 
-def profile(p: int, q: int) -> None:
+def profile(title: str, p: int, build) -> None:
     t0 = time.perf_counter()
-    g = wreath_cyclic(p, q)
+    g = build()
     t_build = time.perf_counter() - t0
     t0 = time.perf_counter()
     gamma = [s.order for s in lower_central_series(g)]
@@ -30,7 +35,7 @@ def profile(p: int, q: int) -> None:
     d = d_vector(series)
     t = upper_index_jennings(d)
     t_analysis = time.perf_counter() - t0
-    print(f"wreath C{p} wr C{q}: order {g.order} ({g.backing} backing)")
+    print(f"{title}: order {g.order} ({g.backing} backing)")
     print(f"  built in {t_build * 1000:.0f} ms, "
           f"analysed in {t_analysis * 1000:.0f} ms")
     print(f"  lower central orders: {gamma}")
@@ -41,9 +46,14 @@ def profile(p: int, q: int) -> None:
 
 
 def main() -> int:
-    profile(2, 4)      # oracle-sized reference point
-    profile(2, 8)      # order 2048: table backing, oracle far out of reach
-    profile(5, 5)      # order 15625: permutation backing only
+    for p, q in ((2, 4),    # oracle-sized reference point
+                 (2, 8),    # order 2048: table backing, oracle far out of reach
+                 (5, 5)):   # order 15625: permutation backing only
+        profile(f"wreath C{p} wr C{q}", p, lambda: wreath_cyclic(p, q))
+    # order 65536: product backing over a table-backed wreath factor
+    profile("product C2wrC8 x C8 x C4", 2, lambda: direct_product(
+        direct_product(wreath_cyclic(2, 8), cyclic_group(8)),
+        cyclic_group(4)))
     return 0
 
 

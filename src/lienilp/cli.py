@@ -1,9 +1,9 @@
 """Command line interface: analyze | scan | selftest.
 
-Exit codes: 0 success, 2 build/usage error (including a group the
-analysis cannot handle, such as the oracle forced onto a group with no
-dense table), 3 internal consistency failure (a cross-check mismatch
-or a failed acceptance criterion).
+Exit codes: 0 success, 2 build/usage error (including a --prime that
+is not a prime, and a group the analysis cannot handle, such as the
+oracle forced onto a group with no dense table), 3 internal consistency
+failure (a cross-check mismatch or a failed acceptance criterion).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .acceptance import run_all
 from .catalog import Catalog
 from .classify import corollary_sharpness
 from .errors import LieNilpError, NoWitnessFoundError
+from .groups import is_prime
 from .oracle import DEFAULT_ORACLE_CAP
 from .report import LieReport, analyze, render_text
 
@@ -196,6 +197,10 @@ def cmd_selftest(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command != "selftest" and not is_prime(args.prime):
+        print(f"error: --prime must be a prime >= 2, got {args.prime}",
+              file=sys.stderr)
+        return EXIT_BUILD
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "selftest": cmd_selftest}[args.command]
     return handler(args)

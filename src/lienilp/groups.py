@@ -1,9 +1,11 @@
 """Finite group arithmetic on integer element indices.
 
 Every group enumerates its elements as 0..order-1 with the identity at
-index 0.  Small groups carry a dense multiplication table; larger ones
-store each element as a permutation of a finite set and multiply by
-composition followed by an index lookup.  Groups and subgroups are
+index 0.  Small groups carry a dense multiplication table.  Larger ones
+have one of two backings: a permutation closure stores each element as a
+permutation of a finite set and multiplies by composition followed by an
+index lookup; a direct product stores its two factors and multiplies
+componentwise on the codes i * |b| + j.  Groups and subgroups are
 immutable after construction, so all operations here are pure functions.
 """
 
@@ -42,24 +44,31 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "generators", "labels", "degree",
-                 "_table", "_perms", "_perm_index", "_inverses")
+                 "_table", "_perms", "_perm_index", "_factors", "_inverses")
 
-    def __init__(self, *, table=None, perms=None, generators=(),
-                 labels=None, inverses=None):
+    def __init__(self, *, table=None, perms=None, factors=None,
+                 generators=(), labels=None, inverses=None):
+        self._table = None
+        self._perms = None
+        self._perm_index = None
+        self._factors = None
+        self.degree = None
         if table is not None:
             self._table = np.ascontiguousarray(table, dtype=np.int32)
             self.order = int(self._table.shape[0])
-            self._perms = None
-            self._perm_index = None
-            self.degree = None
             if inverses is None:
                 rows, cols = np.nonzero(self._table == 0)
                 inv = np.empty(self.order, dtype=np.int32)
                 inv[rows] = cols
                 inverses = inv
             self._inverses = np.asarray(inverses, dtype=np.int32)
+        elif factors is not None:
+            a, b = self._factors = tuple(factors)
+            self.order = a.order * b.order
+            inv = a._inverses.astype(np.int64)[:, None] * b.order \
+                + b._inverses[None, :]
+            self._inverses = inv.reshape(-1)
         else:
-            self._table = None
             self._perms = tuple(tuple(p) for p in perms)
             self.order = len(self._perms)
             self.degree = len(self._perms[0]) if self._perms else 0
@@ -76,11 +85,18 @@ class FiniteGroup:
 
     @property
     def backing(self) -> str:
-        return "table" if self._table is not None else "permutation"
+        if self._table is not None:
+            return "table"
+        return "product" if self._factors is not None else "permutation"
 
     def multiply(self, i: int, j: int) -> int:
         if self._table is not None:
             return int(self._table[i, j])
+        if self._factors is not None:
+            a, b = self._factors
+            ia, ib = divmod(i, b.order)
+            ja, jb = divmod(j, b.order)
+            return a.multiply(ia, ja) * b.order + b.multiply(ib, jb)
         a = self._perms[i]
         b = self._perms[j]
         return self._perm_index[tuple(map(a.__getitem__, b))]
@@ -111,7 +127,7 @@ class FiniteGroup:
     def dense_table(self) -> np.ndarray:
         if self._table is None:
             raise CapExceededError(
-                "no dense multiplication table for a permutation-backed "
+                f"no dense multiplication table for a {self.backing}-backed "
                 f"group of order {self.order}")
         return self._table
 
@@ -238,12 +254,44 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases.
+
+    Exact for n < 3.3e24; above that a strong probable-prime test.
+    Unlike trial division it stays fast for primes such as 2^61 - 1.
+    """
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _is_prime_power(n: int) -> bool:
     return len(_factorize(n)) == 1 if n > 1 else False
 
 
 def _p_log(n: int, p: int) -> int | None:
     """Exact base-p logarithm of n, or None when n is not a power of p."""
+    if p < 2 or n < 1:
+        raise ValueError(f"no base-{p} logarithm of {n}: need p >= 2, n >= 1")
     k = 0
     while n % p == 0:
         n //= p
@@ -445,35 +493,25 @@ def _pair_labels(a: FiniteGroup, b: FiniteGroup) -> list[str] | None:
     return [f"({la},{lb})" for la in a.labels for lb in b.labels]
 
 
-def _faithful_generator_perms(g: FiniteGroup):
-    """Generators of g as permutations of a faithful action: the stored
-    points for permutation backing, the regular action otherwise."""
-    if g.backing == "permutation":
-        return g.degree, [g._perms[i] for i in g.generators]
-    table = g.dense_table()
-    return g.order, [tuple(int(v) for v in table[i]) for i in g.generators]
-
-
 def direct_product(a: FiniteGroup, b: FiniteGroup, *,
                    cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Componentwise product on pairs; index (i, j) -> i * |b| + j."""
+    """Componentwise product on pairs; index (i, j) -> i * |b| + j.
+
+    Up to TABLE_BACKING_LIMIT the product gets a dense table; above it,
+    a product backing that multiplies in each factor."""
     order = a.order * b.order
     if order > cap:
         raise CapExceededError(f"product order {order} exceeds cap {cap}")
-    if order <= TABLE_BACKING_LIMIT:
-        ta = a.dense_table().astype(np.int64)
-        tb = b.dense_table().astype(np.int64)
-        nb = b.order
-        t = ta[:, None, :, None] * nb + tb[None, :, None, :]
-        t = t.reshape(order, order)
-        gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
-        return FiniteGroup(table=t, generators=gens,
-                           labels=_pair_labels(a, b))
-    da, pa = _faithful_generator_perms(a)
-    db, pb = _faithful_generator_perms(b)
-    gens = [tuple(p) + tuple(range(da, da + db)) for p in pa]
-    gens += [tuple(range(da)) + tuple(x + da for x in p) for p in pb]
-    return from_permutation_generators(da + db, gens, cap=cap)
+    nb = b.order
+    gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
+    labels = _pair_labels(a, b)
+    if order > TABLE_BACKING_LIMIT:
+        return FiniteGroup(factors=(a, b), generators=gens, labels=labels)
+    ta = a.dense_table().astype(np.int64)
+    tb = b.dense_table().astype(np.int64)
+    t = ta[:, None, :, None] * nb + tb[None, :, None, :]
+    return FiniteGroup(table=t.reshape(order, order), generators=gens,
+                       labels=labels)
 
 
 def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
@@ -625,7 +663,7 @@ def extraspecial_exponent_p(p: int, *, cap: int = DEFAULT_ORDER_CAP
                             ) -> FiniteGroup:
     """Extraspecial group of order p^3 and exponent p (odd p only),
     realised as unitriangular coordinate triples (a, b, c)."""
-    if p < 3 or _factorize(p) != {p: 1}:
+    if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     order = p ** 3
     if order > cap:

@@ -214,6 +214,24 @@ def test_selftest_skips_oracle_criteria(capsys):
     assert by_key["8-negative-controls"] == "pass"
 
 
+@pytest.mark.parametrize("prime", ["1", "0", "4", "6", "-2"])
+def test_non_prime_rejected(prime):
+    """A --prime that is not a prime >= 2 is a usage error of analyze and
+    scan, never a hang (p = 1) or a traceback (p = 0).  Both commands run
+    in one subprocess with a timeout, so a hang fails the test."""
+    import subprocess
+    import sys
+    script = ("import sys; from lienilp.cli import main; "
+              "print(main(['analyze', 'D8', '--prime', sys.argv[1]]), "
+              "main(['scan', '--prime', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", script, prime],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "2"]
+    assert proc.stderr.splitlines() == [
+        f"error: --prime must be a prime >= 2, got {prime}"] * 2
+
+
 def test_console_script_entry():
     import subprocess
     import sys

@@ -6,6 +6,8 @@ import pytest
 from conftest import brute_closure, brute_commutator_subgroup, \
     brute_lower_central
 
+from lienilp import groups
+from lienilp.catalog import Catalog
 from lienilp.errors import (
     CapExceededError,
     NoInverseError,
@@ -43,6 +45,23 @@ from lienilp.groups import (
     trivial_subgroup,
     wreath_cyclic,
 )
+
+
+# --- number theory ----------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 3000):
+        assert groups.is_prime(n) == (n > 1 and groups._factorize(n) == {n: 1})
+    # Mersenne primes and Carmichael numbers, far past trial division.
+    assert groups.is_prime(2 ** 61 - 1) and groups.is_prime(2 ** 127 - 1)
+    assert not any(map(groups.is_prime, (561, 3215031751, 2 ** 61 + 1)))
+
+
+@pytest.mark.parametrize("p", [0, -2])
+def test_p_log_rejects_base_below_2(p):
+    with pytest.raises(ValueError):
+        groups._p_log(8, p)
 
 
 # --- from_multiplication_table ------------------------------------------------
@@ -224,12 +243,45 @@ def test_product_cap():
 
 
 def test_direct_product_above_table_limit(built):
-    """Mixed-backing products past the table limit stay permutation
-    backed; an abelian factor leaves the derived structure alone."""
+    """Products past the table limit are product backed, also over a
+    permutation-backed factor; an abelian factor leaves the derived
+    structure alone."""
     big = direct_product(built("C5wrC5"), cyclic_group(2))
-    assert big.order == 31250 and big.backing == "permutation"
+    assert big.order == 31250 and big.backing == "product"
     assert [s.order for s in lower_central_series(big)] == \
         [31250, 625, 125, 25, 5, 1]
+
+
+def _nested_product():
+    return direct_product(dihedral_group(8),
+                          direct_product(quaternion_group8(), cyclic_group(2)))
+
+
+def test_product_backing_matches_table(catalog, monkeypatch):
+    """With the table limit forced down, every direct product of the
+    catalog (C2xC2xC2 over a product-backed factor) and one product with
+    a product-backed right factor multiply, invert, generate and analyse
+    exactly as their table-backed builds."""
+    from lienilp.report import analyze
+
+    names = [e.name for e in catalog.entries if e.kind == "direct_product"]
+    tables = [catalog.build(n) for n in names] + [_nested_product()]
+    with monkeypatch.context() as m:
+        m.setattr(groups, "TABLE_BACKING_LIMIT", 1)
+        fresh = Catalog(catalog.entries)
+        products = [fresh.build(n) for n in names] + [_nested_product()]
+    assert products[-1]._factors[1].backing == "product"
+    for name, t, g in zip(names + ["D8x(Q8xC2)"], tables, products):
+        assert t.backing == "table" and g.backing == "product", name
+        n = g.order
+        assert [[g.multiply(i, j) for j in range(n)] for i in range(n)] == \
+            t.dense_table().tolist(), name
+        assert [g.inverse(i) for i in range(n)] == \
+            [t.inverse(i) for i in range(n)], name
+        assert g.generators == t.generators, name
+        for p in (2, 3, 5):
+            assert analyze(g, p, name=name, run_oracle=False).to_json_dict() \
+                == analyze(t, p, name=name, run_oracle=False).to_json_dict()
 
 
 # --- element operations ----------------------------------------------------------
@@ -435,10 +487,8 @@ def test_group_axioms_exhaustive(catalog):
             assert g.multiply(i, j) == 0 and g.multiply(j, i) == 0
 
 
-def test_permutation_backing_axioms_sampled(catalog):
+def _check_axioms_sampled(g):
     import random
-    g = catalog.build("C5wrC5")
-    assert g.backing == "permutation"
     rng = random.Random(7)
     for _ in range(200):
         i, j, k = (rng.randrange(g.order) for _ in range(3))
@@ -446,3 +496,15 @@ def test_permutation_backing_axioms_sampled(catalog):
             g.multiply(i, g.multiply(j, k))
         assert g.multiply(i, g.inverse(i)) == 0
         assert g.multiply(0, i) == i == g.multiply(i, 0)
+
+
+def test_permutation_backing_axioms_sampled(catalog):
+    g = catalog.build("C5wrC5")
+    assert g.backing == "permutation"
+    _check_axioms_sampled(g)
+
+
+def test_mixed_product_backing_axioms_sampled(built):
+    g = direct_product(built("C5wrC5"), cyclic_group(2))
+    assert g.backing == "product"
+    _check_axioms_sampled(g)
