@@ -71,6 +71,10 @@ class NotLieNilpotentError(LieNilpError):
     """KG is not Lie nilpotent for the requested group/characteristic."""
 
 
+class NotPrimeError(LieNilpError):
+    """The requested characteristic p is not a prime >= 2."""
+
+
 # --- dimension series internals ----------------------------------------------
 
 

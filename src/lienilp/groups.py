@@ -2,11 +2,12 @@
 
 Every group enumerates its elements as 0..order-1 with the identity at
 index 0.  Small groups carry a dense multiplication table.  Larger ones
-have one of two backings: a permutation closure stores each element as a
-permutation of a finite set and multiplies by composition followed by an
-index lookup; a direct product stores its two factors and multiplies
-componentwise on the codes i * |b| + j.  Groups and subgroups are
-immutable after construction, so all operations here are pure functions.
+have one of two backings: a permutation closure (built a breadth-first
+level at a time) stores each element as a permutation of a finite set
+and multiplies by composition and an index lookup; a direct product
+stores its two factors and multiplies componentwise on the codes
+i * |b| + j.  Groups and subgroups are immutable after construction, so
+all operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -57,29 +58,19 @@ class FiniteGroup:
             self._table = np.ascontiguousarray(table, dtype=np.int32)
             self.order = int(self._table.shape[0])
             if inverses is None:
-                rows, cols = np.nonzero(self._table == 0)
-                inv = np.empty(self.order, dtype=np.int32)
-                inv[rows] = cols
-                inverses = inv
-            self._inverses = np.asarray(inverses, dtype=np.int32)
+                # Each row is a permutation, so its 0 is its minimum.
+                inverses = self._table.argmin(axis=1)
         elif factors is not None:
             a, b = self._factors = tuple(factors)
             self.order = a.order * b.order
-            inv = a._inverses.astype(np.int64)[:, None] * b.order \
-                + b._inverses[None, :]
-            self._inverses = inv.reshape(-1)
+            inverses = (a._inverses.astype(np.int64)[:, None] * b.order
+                        + b._inverses[None, :]).reshape(-1)
         else:
             self._perms = tuple(tuple(p) for p in perms)
             self.order = len(self._perms)
             self.degree = len(self._perms[0]) if self._perms else 0
             self._perm_index = {p: i for i, p in enumerate(self._perms)}
-            inv = np.empty(self.order, dtype=np.int32)
-            for i, p in enumerate(self._perms):
-                q = [0] * self.degree
-                for a, b in enumerate(p):
-                    q[b] = a
-                inv[i] = self._perm_index[tuple(q)]
-            self._inverses = inv
+        self._inverses = np.asarray(inverses, dtype=np.int32)
         self.generators = tuple(int(x) for x in generators)
         self.labels = tuple(labels) if labels is not None else None
 
@@ -416,70 +407,81 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP,
 # --------------------------------------------------------------------------
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a . b)(x) = a(b(x)); the product 'apply b, then a'."""
-    return tuple(map(a.__getitem__, b))
-
-
 def from_permutation_generators(degree: int, generators, *,
                                 cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} under composition.
 
-    Element 0 is the identity permutation.  Groups whose order stays
-    within TABLE_BACKING_LIMIT are materialised as dense tables; bigger
-    closures keep the permutation backing.
+    Element 0 is the identity and elements 1..k are the generators, less
+    the identity and repeats; the closure goes on breadth first, each
+    element numbered as first found as e * g, e in order, then g in
+    order.  Groups whose order stays within TABLE_BACKING_LIMIT are
+    materialised as dense tables; bigger closures keep the permutation
+    backing.
     """
-    ident = tuple(range(degree))
-    gens: list[tuple[int, ...]] = []
+    ident = list(range(degree))
+    gens: list[list[int]] = []
     for g in generators:
-        p = tuple(int(x) for x in g)
-        if len(p) != degree or sorted(p) != list(ident):
-            raise ValueError(f"{p} is not a permutation of 0..{degree - 1}")
+        p = [int(x) for x in g]
+        if sorted(p) != ident:
+            raise ValueError(
+                f"{tuple(p)} is not a permutation of 0..{degree - 1}")
         if p != ident and p not in gens:
             gens.append(p)
+    if degree == 0:  # no points: the identity is the only permutation
+        return FiniteGroup(table=[[0]])
+    k = len(gens)
+    gen_arr = np.array(gens, dtype=np.int32).reshape(k, degree)
+    width = np.dtype((np.void, 4 * degree))
+    levels = [np.arange(degree, dtype=np.int32)[None]]
+    index = {levels[0].tobytes(): 0}
 
-    elements: list[tuple[int, ...]] = [ident]
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    words: list[tuple[int, int]] = [(-1, -1)]  # (parent index, generator slot)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            e = elements[ei]
-            for gi, gp in enumerate(gens):
-                prod = _compose(e, gp)
-                if prod not in index:
-                    if len(elements) >= cap:
-                        raise CapExceededError(
-                            f"permutation closure exceeds cap {cap}")
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    words.append((ei, gi))
-                    nxt.append(index[prod])
-        frontier = nxt
+    def number(rows):
+        """Element numbers of the rows, keyed by their bytes, new rows
+        next; keys are made 4096 rows at a time to bound their memory."""
+        keys = (key for i in range(0, len(rows), 4096)
+                for key in rows[i:i + 4096].view(width).ravel().tolist())
+        return np.fromiter((index.setdefault(key, len(index))
+                            for key in keys), np.int64, len(rows))
 
-    n = len(elements)
-    gen_indices = tuple(index[g] for g in gens)
+    # One level at once: row r * k + j of frontier[:, gen_arr] is e . g,
+    # x -> e(g(x)), for frontier element r and generator j.  Element e was
+    # first found as element found[e] // k times generator found[e] % k.
+    found = [np.zeros(1, np.int64)]
+    while len(levels[-1]):
+        frontier, seen = levels[-1], len(index)
+        prods = frontier[:, gen_arr].reshape(len(frontier) * k, degree)
+        nums, first = np.unique(number(prods), return_index=True)
+        if len(index) > cap:
+            raise CapExceededError(f"permutation closure exceeds cap {cap}")
+        fresh = first[nums >= seen]
+        found.append((seen - len(frontier)) * k + fresh)
+        levels.append(prods[fresh])
+    perms = np.concatenate(levels)
+    del levels
+    n = len(perms)
+    inverses = np.empty_like(perms)
+    inverses[np.arange(n)[:, None], perms] = np.arange(degree)
+    inverses = number(inverses)
     if n > TABLE_BACKING_LIMIT:
-        return FiniteGroup(perms=elements, generators=gen_indices)
+        del index
+        rows = (tuple(p) for i in range(0, n, 4096)
+                for p in perms[i:i + 4096].tolist())
+        return FiniteGroup(perms=rows, inverses=inverses,
+                           generators=range(1, k + 1))
 
-    # Materialise the dense table column by column: each element e was
-    # discovered as parent*g, so T[:, e] = T[T[:, parent], g].
+    # Row e is left multiplication by e: the generators' rows are looked
+    # up, and every other e = parent * g has row T[parent, T[g, :]].
     table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n)
-    gen_cols = {}
-    for gi, gp in enumerate(gens):
-        col = np.fromiter(
-            (index[_compose(elements[i], gp)] for i in range(n)),
-            count=n, dtype=np.int32)
-        gen_cols[gi] = col
-        table[:, index[gp]] = col
-    for e in range(1, n):
-        parent, gi = words[e]
-        if elements[e] in gens:
-            continue
-        table[:, e] = gen_cols[gi][table[:, parent]]
-    return FiniteGroup(table=table, generators=gen_indices)
+    table[0] = np.arange(n)
+    table[1:k + 1] = number(gen_arr[:, perms].reshape(k * n, degree)
+                            ).reshape(k, n)
+    del index, perms
+    found = np.concatenate(found).tolist()
+    for e in range(k + 1, n):
+        parent, j = divmod(found[e], k)
+        table[parent].take(table[j + 1], out=table[e])
+    return FiniteGroup(table=table, inverses=inverses,
+                       generators=range(1, k + 1))
 
 
 # --------------------------------------------------------------------------
@@ -507,9 +509,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *,
     labels = _pair_labels(a, b)
     if order > TABLE_BACKING_LIMIT:
         return FiniteGroup(factors=(a, b), generators=gens, labels=labels)
-    ta = a.dense_table().astype(np.int64)
-    tb = b.dense_table().astype(np.int64)
-    t = ta[:, None, :, None] * nb + tb[None, :, None, :]
+    # int32 throughout: entries stay below order <= TABLE_BACKING_LIMIT.
+    t = (a.dense_table()[:, None, :, None] * np.int32(nb)
+         + b.dense_table()[None, :, None, :])
     return FiniteGroup(table=t.reshape(order, order), generators=gens,
                        labels=labels)
 
@@ -593,9 +595,7 @@ def wreath_cyclic(p: int, q: int, *, cap: int = DEFAULT_ORDER_CAP
         raise CapExceededError(
             f"wreath order {p ** q * q} exceeds cap {cap}")
     degree = p * q
-    base = list(range(degree))
-    for x in range(p):
-        base[x] = (x + 1) % p
+    base = [(x + 1) % p if x < p else x for x in range(degree)]
     shift = [(x + p) % degree for x in range(degree)]
     return from_permutation_generators(degree, [base, shift], cap=cap)
 

@@ -15,10 +15,12 @@ from .dimension import (
     upper_index_jennings,
     verify_sum_rule,
 )
+from .errors import NotPrimeError
 from .groups import (
     FiniteGroup,
     abelian_invariants,
     is_abelian_subgroup,
+    is_prime,
     lower_central_series,
 )
 from .oracle import (
@@ -123,8 +125,11 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     Group-theoretic facts and the series formulas always run; the
     explicit group-algebra oracle runs when the order fits under the
     cap (or when forced).  Every cross-check lands in ``checks``,
-    with None marking checks that could not run.
+    with None marking checks that could not run.  Raises NotPrimeError
+    unless ``prime`` is a prime >= 2.
     """
+    if not is_prime(prime):
+        raise NotPrimeError(f"p must be a prime >= 2, got {prime}")
     start = time.perf_counter()
     gamma = _gamma_summary(g)
     series = lower_central_series(g)

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own algorithms:
 closures iterate all pairwise products to a fixed point, and commutator
 subgroups enumerate every commutator pair, so they stay independent of
-the generator-based implementations they check.  The group-algebra
+the generator-based implementations they check.  The permutation
+closure multiplies one element by one generator at a time in pure
+Python.  The group-algebra
 reference likewise closes ideals under every delta_g and brackets
 against every delta_g, with its own row reduction.
 """
@@ -44,6 +46,64 @@ def brute_lower_central(g: FiniteGroup) -> list[frozenset[int]]:
         series.append(nxt)
         if len(nxt) == 1:
             return series
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """(a . b)(x) = a(b(x)); the product 'apply b, then a'."""
+    return tuple(map(a.__getitem__, b))
+
+
+def brute_permutation_closure(degree: int, generators, *, table: bool = True):
+    """Close permutations one product at a time, numbering each element
+    when first found as e * g (e, then g, in order); fill the dense
+    table column by column and invert each permutation on its own.
+
+    Returns (elements, generator indices, table or None, inverses)."""
+    ident = tuple(range(degree))
+    gens: list[tuple[int, ...]] = []
+    for g in generators:
+        p = tuple(int(x) for x in g)
+        if p != ident and p not in gens:
+            gens.append(p)
+    elements = [ident]
+    index = {ident: 0}
+    words = [(-1, -1)]  # (parent index, generator slot)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ei in frontier:
+            for gi, gp in enumerate(gens):
+                prod = _compose(elements[ei], gp)
+                if prod not in index:
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    words.append((ei, gi))
+                    nxt.append(index[prod])
+        frontier = nxt
+    n = len(elements)
+    inverses = []
+    for p in elements:
+        q = [0] * degree
+        for a, b in enumerate(p):
+            q[b] = a
+        inverses.append(index[tuple(q)])
+    gen_indices = tuple(index[g] for g in gens)
+    if not table:
+        return elements, gen_indices, None, inverses
+    # Each element e was found as parent * g, so T[:, e] = T[T[:, parent], g].
+    t = np.empty((n, n), dtype=np.int32)
+    t[:, 0] = np.arange(n)
+    gen_cols = {}
+    for gi, gp in enumerate(gens):
+        gen_cols[gi] = np.fromiter(
+            (index[_compose(elements[i], gp)] for i in range(n)),
+            count=n, dtype=np.int32)
+        t[:, index[gp]] = gen_cols[gi]
+    for e in range(1, n):
+        parent, gi = words[e]
+        if elements[e] not in gens:
+            t[:, e] = gen_cols[gi][t[:, parent]]
+    return elements, gen_indices, t, inverses
 
 
 def brute_rref(rows, p: int, width: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from lienilp.cli import main
 from lienilp.errors import (
     CatalogParseError,
     NotHomomorphismError,
+    NotPrimeError,
     UnknownConstructionError,
     UnresolvedReferenceError,
 )
@@ -230,6 +231,15 @@ def test_non_prime_rejected(prime):
     assert proc.stdout.split() == ["2", "2"]
     assert proc.stderr.splitlines() == [
         f"error: --prime must be a prime >= 2, got {prime}"] * 2
+
+
+@pytest.mark.parametrize("prime", [1, 0, 4, 6, -2])
+def test_library_analyze_rejects_non_prime(built, prime):
+    """The library call checks p itself: 4 and 6 are not reported as
+    not_lie_nilpotent, and 1 does not reach the base-p logarithm."""
+    from lienilp.report import analyze
+    with pytest.raises(NotPrimeError, match=f"got {prime}$"):
+        analyze(built("D8"), prime)
 
 
 def test_console_script_entry():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_closure, brute_commutator_subgroup, \
-    brute_lower_central
+    brute_lower_central, brute_permutation_closure
 
 from lienilp import groups
 from lienilp.catalog import Catalog
@@ -141,6 +141,122 @@ def test_closure_matches_brute_force():
     g = from_permutation_generators(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
     full = brute_closure(g, range(g.order))
     assert full == frozenset(range(8))
+
+
+def _assert_matches_brute(degree, gens, **kwargs):
+    """The builder numbers, generates, multiplies and inverts exactly as
+    the one-product-at-a-time reference."""
+    g = from_permutation_generators(degree, gens, **kwargs)
+    elements, gen_indices, table, inverses = brute_permutation_closure(
+        degree, gens, table=g.backing == "table")
+    assert g.order == len(elements)
+    assert g.generators == gen_indices
+    assert g._inverses.tolist() == inverses
+    if table is None:
+        assert g.backing == "permutation"
+        assert list(g._perms) == elements
+    else:
+        assert g.dense_table().tolist() == table.tolist()
+    return g
+
+
+def _random_sylow_element(p, k, rng):
+    """A random automorphism of the p-ary tree of depth k, as a
+    permutation of its p^k leaves: an element of Syl_p(S_{p^k})."""
+    turns = [[rng.randrange(p) for _ in range(p ** level)]
+             for level in range(k)]
+    image = []
+    for x in range(p ** k):
+        y = 0
+        for level in range(k):
+            digit = x // p ** (k - 1 - level) % p
+            y = y * p + (digit + turns[level][x // p ** (k - level)]) % p
+        image.append(y)
+    return image
+
+
+def _recorded_permutation_builds(catalog, monkeypatch):
+    """(degree, generators) of every catalog group built from
+    permutations, wreath products included."""
+    calls = []
+    real = groups.from_permutation_generators
+
+    def record(degree, gens, **kwargs):
+        calls.append((degree, gens))
+        return real(degree, gens, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(groups, "from_permutation_generators", record)
+        fresh = Catalog(catalog.entries)
+        for e in catalog.entries:
+            if e.kind in ("permutations", "wreath_cyclic"):
+                fresh.build(e.name)
+    return calls
+
+
+def test_closure_matches_reference_on_catalog(catalog, monkeypatch):
+    calls = _recorded_permutation_builds(catalog, monkeypatch)
+    assert sorted(_assert_matches_brute(d, gens).order
+                  for d, gens in calls) == [64, 81, 15625]
+
+
+@pytest.mark.parametrize("p, k, seed", [(2, 3, 1), (3, 2, 2), (2, 4, 3)])
+def test_closure_matches_reference_on_random_sylow_subgroups(p, k, seed):
+    import random
+    rng = random.Random(seed)
+    orders = []
+    while len(orders) < 6:
+        gens = [_random_sylow_element(p, k, rng)
+                for _ in range(rng.choice((1, 2, 3)))]
+        try:
+            orders.append(_assert_matches_brute(p ** k, gens,
+                                                cap=512).order)
+        except CapExceededError:
+            continue
+    assert max(orders) > 8, orders
+
+
+def test_closure_matches_reference_above_table_limit(catalog, monkeypatch):
+    """Forced to the permutation backing, the table-backed catalog
+    closures keep the same element order and inverses (C5wrC5, already
+    permutation backed, is checked above)."""
+    calls = [(d, gens) for d, gens
+             in _recorded_permutation_builds(catalog, monkeypatch) if d < 25]
+    assert len(calls) == 2
+    with monkeypatch.context() as m:
+        m.setattr(groups, "TABLE_BACKING_LIMIT", 1)
+        for degree, gens in calls + [(4, [[1, 2, 3, 0], [0, 3, 2, 1]])]:
+            assert _assert_matches_brute(degree, gens).backing == \
+                "permutation"
+
+
+@pytest.mark.parametrize("degree, gens, order", [
+    (0, [], 1),
+    (0, [[]], 1),
+    (1, [[0]], 1),
+    (3, [], 1),
+    (3, [[0, 1, 2], [1, 2, 0], [1, 2, 0], [0, 1, 2]], 3),
+    (300, [[(x + 1) % 3 if x < 3 else x for x in range(300)]], 3),
+    (4, [[1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]], 4),
+])
+def test_closure_edge_cases(degree, gens, order):
+    """Empty degrees, no generators, identity and repeated generators,
+    and points beyond a byte."""
+    assert _assert_matches_brute(degree, gens).order == order
+
+
+def test_closure_cap_is_inclusive():
+    s5 = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
+    assert from_permutation_generators(5, s5, cap=120).order == 120
+    with pytest.raises(CapExceededError):
+        from_permutation_generators(5, s5, cap=119)
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3],
+                                  [0, 1, 3]])
+def test_closure_rejects_non_permutations(perm):
+    with pytest.raises(ValueError, match="is not a permutation of 0..2"):
+        from_permutation_generators(3, [[1, 2, 0], perm])
 
 
 # --- products -------------------------------------------------------------------
