@@ -17,6 +17,7 @@ import pytest
 
 from lienilp.catalog import Catalog
 from lienilp.groups import FiniteGroup, commutator
+from lienilp.report import analyze
 
 
 def brute_closure(g: FiniteGroup, seed) -> frozenset[int]:
@@ -192,3 +193,11 @@ def built(catalog):
     def _build(name: str) -> FiniteGroup:
         return catalog.build(name)
     return _build
+
+
+@pytest.fixture(scope="session")
+def catalog_reports(catalog):
+    """Every shipped entry analysed at p = 2, 3, 5 with the CLI defaults
+    (oracle up to order 128), keyed by (name, p)."""
+    return {(e.name, p): analyze(catalog.build(e.name), p, name=e.name)
+            for e in catalog.entries for p in (2, 3, 5)}
