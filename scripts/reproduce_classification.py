@@ -3,7 +3,9 @@
 
 Scans the shipped catalog at p = 2 (orders <= 64), p = 3 (orders <= 81)
 and p = 5, printing per-group verdicts, the agreement of the three
-almost-maximal detectors, and the sharpness witnesses for p = 2, 3.
+almost-maximal detectors, and the sharpness witnesses for p = 2, 3
+among the groups scanned there.  Exits 3 when the detectors disagree on
+some group.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lienilp.catalog import Catalog
-from lienilp.classify import corollary_sharpness, cross_validate
-from lienilp.oracle import is_lie_nilpotent
+from lienilp.classify import corollary_sharpness
 from lienilp.report import analyze
 
 SWEEPS = ((2, 64), (3, 81), (5, 128))
@@ -23,31 +24,34 @@ SWEEPS = ((2, 64), (3, 81), (5, 128))
 
 def main() -> int:
     catalog = Catalog.load()
-    witnesses = [(e.name, catalog.build(e.name)) for e in catalog.entries]
     exit_code = 0
+    scanned: dict[int, list] = {}
 
     for prime, max_order in SWEEPS:
         print(f"\n=== characteristic {prime}, orders <= {max_order} ===")
         print(f"{'group':<10} {'order':>6} {'t_upper':>8} "
               f"{'oracle':>12} {'verdict':<20} detectors")
-        for name, g in witnesses:
+        reports = scanned[prime] = []
+        for entry in catalog.entries:
+            g = catalog.build(entry.name)
             if g.order > max_order:
                 continue
-            rep = analyze(g, prime, name=name)
+            rep = analyze(g, prime, name=entry.name)
+            reports.append(rep)
             oracle = (f"{rep.oracle.t_upper}/{rep.oracle.t_lower}"
                       if rep.oracle.ran and rep.oracle.t_upper else "-")
             agree = "-"
-            if is_lie_nilpotent(g, prime):
-                agree = ("agree" if cross_validate(g, prime).consistent
+            if rep.lie_nilpotent:
+                agree = ("agree" if rep.checks["classification_biconditional"]
                          else "DISAGREE")
                 if agree == "DISAGREE":
                     exit_code = 3
-            print(f"{name:<10} {g.order:>6} "
+            print(f"{entry.name:<10} {g.order:>6} "
                   f"{str(rep.t_upper_jennings):>8} {oracle:>12} "
                   f"{rep.verdict:<20} {agree}")
 
     for prime in (2, 3):
-        rep = corollary_sharpness(prime, witnesses)
+        rep = corollary_sharpness(prime, scanned[prime])
         print(f"\nsharpness at p = {prime}:")
         for w in rep.witnesses:
             target = 2 ** w.n if prime == 2 else 3 ** w.n - 1

@@ -41,16 +41,10 @@ from .dimension import (
 from .oracle import (
     FpSubspace,
     GroupAlgebra,
-    algebra_multiply,
     dimension_series_direct,
     dimension_subgroup_direct,
-    echelonize,
-    ideal_generated,
     is_lie_nilpotent,
-    lie_bracket,
     lower_lie_powers,
-    subspace_contains,
-    subspace_sum,
     upper_lie_powers,
 )
 from .classify import (

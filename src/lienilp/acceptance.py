@@ -1,9 +1,12 @@
 """The acceptance suite: one callable per criterion, shared by the
 ``selftest`` CLI command and the pytest acceptance module.
 
-Each criterion returns pass/fail/skip with a detail string; criteria
-that need the explicit algebra oracle report "skip" when the oracle cap
-rules it out, while the formula-only criteria always run.
+``run_all`` analyses every catalog entry once at each prime; the
+criteria read those reports.  Only the central-quotient identity and
+the relabelling trials build groups of their own.  Each criterion
+returns pass/fail/skip with a detail string; criteria that need the
+explicit algebra oracle report "skip" when the oracle cap rules it out,
+while the formula-only criteria always run.
 """
 
 from __future__ import annotations
@@ -15,26 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
-from .classify import corollary_sharpness, cross_validate
-from .dimension import (
-    d_vector,
-    quotient_series_check,
-    series_product,
-    series_recursive,
-    shalev_vanishing_report,
-    upper_index_jennings,
-    verify_sum_rule,
-)
-from .errors import NoWitnessFoundError
+from .classify import corollary_sharpness
+from .dimension import quotient_series_check, series_recursive
+from .errors import NoWitnessFoundError, UnresolvedReferenceError
 from .groups import FiniteGroup, from_multiplication_table
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    dimension_series_direct,
-    is_lie_nilpotent,
-    lower_lie_powers,
-    upper_lie_powers,
-)
-from .report import analyze
+from .oracle import DEFAULT_ORACLE_CAP
+from .report import LieReport, analyze
 
 PRIMES = (2, 3, 5)
 
@@ -71,32 +60,57 @@ def _run(key: str, title: str, fn) -> CriterionResult:
                            detail=detail, seconds=time.perf_counter() - start)
 
 
-def _lie_nilpotent_pairs(catalog: Catalog, *, primes=PRIMES,
-                         max_order: int | None = None):
+def analyze_catalog(catalog: Catalog, oracle_cap: int) -> dict:
+    """Every entry analysed once at each prime in PRIMES, keyed by
+    (name, p).  An analysis that raises is kept as its exception; a
+    criterion that reads it re-raises it and so fails."""
+    reports: dict = {}
     for entry in catalog.entries:
-        g = catalog.build(entry.name)
-        if max_order is not None and g.order > max_order:
+        for p in PRIMES:
+            try:
+                reports[entry.name, p] = analyze(
+                    catalog.build(entry.name), p, name=entry.name,
+                    oracle_cap=oracle_cap)
+            except Exception as exc:
+                reports[entry.name, p] = exc
+    return reports
+
+
+def _report(reports: dict, name: str, p: int) -> LieReport:
+    if (name, p) not in reports:
+        raise UnresolvedReferenceError(f"unknown entry {name!r}")
+    rep = reports[name, p]
+    if isinstance(rep, Exception):
+        raise rep
+    return rep
+
+
+def _lie_nilpotent(reports: dict, *, primes=PRIMES,
+                   max_order: int | None = None):
+    """The Lie nilpotent reports, in catalog order, then prime order."""
+    for name, p in reports:
+        if p not in primes:
             continue
-        for p in primes:
-            if is_lie_nilpotent(g, p):
-                yield entry.name, g, p
+        rep = _report(reports, name, p)
+        if rep.lie_nilpotent and (max_order is None
+                                  or rep.order <= max_order):
+            yield rep
 
 
-def criterion_golden_indices(catalog: Catalog,
+def criterion_golden_indices(catalog: Catalog, reports: dict,
                              oracle_cap: int) -> CriterionResult:
     def body():
         failures = []
         skipped = []
         for name, p, expected in GOLDEN_INDICES:
-            g = catalog.build(name)
-            t = upper_index_jennings(d_vector(series_recursive(g, p)))
+            rep = _report(reports, name, p)
+            t = rep.t_upper_jennings
             if t != expected:
                 failures.append(f"{name}@p{p}: formula {t} != {expected}")
-            if g.order <= oracle_cap:
-                _, t_oracle = upper_lie_powers(g, p, oracle_cap=oracle_cap)
-                if t_oracle != expected:
-                    failures.append(
-                        f"{name}@p{p}: oracle {t_oracle} != {expected}")
+            if rep.oracle.ran:
+                if rep.oracle.t_upper != expected:
+                    failures.append(f"{name}@p{p}: oracle "
+                                    f"{rep.oracle.t_upper} != {expected}")
             else:
                 skipped.append(name)
         if failures:
@@ -109,25 +123,22 @@ def criterion_golden_indices(catalog: Catalog,
                 "golden upper indices via formula and oracle", body)
 
 
-def criterion_route_equivalence(catalog: Catalog,
+def criterion_route_equivalence(catalog: Catalog, reports: dict,
                                 oracle_cap: int) -> CriterionResult:
     def body():
         mismatches = []
         count = 0
         skipped = 0
-        for name, g, p in _lie_nilpotent_pairs(catalog, primes=(2, 3),
-                                               max_order=64):
-            rec = series_recursive(g, p)
-            prod = series_product(g, p)
-            if rec.terms != prod.terms:
-                mismatches.append(f"{name}@p{p}: recursive != product")
+        for rep in _lie_nilpotent(reports, primes=(2, 3), max_order=64):
+            label = f"{rep.name}@p{rep.prime}"
+            if not rep.checks["routes_agree"]:
+                mismatches.append(f"{label}: recursive != product")
                 continue
-            if g.order > oracle_cap:
+            if not rep.oracle.ran:
                 skipped += 1
                 continue
-            direct = dimension_series_direct(g, p, oracle_cap=oracle_cap)
-            if tuple(direct) != rec.terms:
-                mismatches.append(f"{name}@p{p}: direct route differs")
+            if not rep.checks["direct_series_agrees"]:
+                mismatches.append(f"{label}: direct route differs")
             count += 1
         if mismatches:
             return "fail", "; ".join(mismatches)
@@ -139,18 +150,20 @@ def criterion_route_equivalence(catalog: Catalog,
                 "recursive = product = direct dimension series", body)
 
 
-def criterion_biconditional(catalog: Catalog,
+def criterion_biconditional(catalog: Catalog, reports: dict,
                             oracle_cap: int) -> CriterionResult:
     def body():
         violations = []
         count = 0
         for p, bound in ((2, 64), (3, 81)):
-            for name, g, prime in _lie_nilpotent_pairs(
-                    catalog, primes=(p,), max_order=bound):
-                rep = cross_validate(g, prime)
+            for rep in _lie_nilpotent(reports, primes=(p,), max_order=bound):
                 count += 1
-                if not rep.consistent:
-                    violations.append(f"{name}@p{prime}: {rep.detail}")
+                if not rep.checks["classification_biconditional"]:
+                    violations.append(
+                        f"{rep.name}@p{p}: disagreement: structural="
+                        f"{rep.structural_case!r} profile="
+                        f"{rep.profile_case!r} verdict={rep.verdict} "
+                        f"(t={rep.t_upper_jennings}, n={rep.n})")
         if violations:
             return "fail", "; ".join(violations)
         return "pass", f"{count} (group, p) pairs, zero violations"
@@ -158,25 +171,25 @@ def criterion_biconditional(catalog: Catalog,
                 "structural case = jump profile = computed index", body)
 
 
-def criterion_bounds(catalog: Catalog, oracle_cap: int) -> CriterionResult:
+def criterion_bounds(catalog: Catalog, reports: dict,
+                     oracle_cap: int) -> CriterionResult:
     def body():
         violations = []
         count = equal5 = 0
-        for name, g, p in _lie_nilpotent_pairs(catalog):
-            if g.order > oracle_cap:
+        for rep in _lie_nilpotent(reports):
+            if not rep.oracle.ran:
                 continue
-            _, t_up = upper_lie_powers(g, p, oracle_cap=oracle_cap)
-            _, t_low = lower_lie_powers(g, p, oracle_cap=oracle_cap)
-            derived = series_recursive(g, p).term(2).order
+            label = f"{rep.name}@p{rep.prime}"
+            t_up, t_low = rep.oracle.t_upper, rep.oracle.t_lower
             count += 1
-            if not (t_low <= t_up <= derived + 1):
+            if not rep.checks["bounds"]:
                 violations.append(
-                    f"{name}@p{p}: {t_low} <= {t_up} <= {derived + 1} fails")
-            if p == 5:
+                    f"{label}: {t_low} <= {t_up} <= |G'| + 1 fails")
+            if rep.prime == 5:
                 equal5 += 1
-                if t_low != t_up:
+                if not rep.checks["char_gt3_equality"]:
                     violations.append(
-                        f"{name}@p5: lower {t_low} != upper {t_up}")
+                        f"{label}: lower {t_low} != upper {t_up}")
         if violations:
             return "fail", "; ".join(violations)
         if count == 0:
@@ -187,14 +200,15 @@ def criterion_bounds(catalog: Catalog, oracle_cap: int) -> CriterionResult:
                 body)
 
 
-def criterion_sharpness(catalog: Catalog, oracle_cap: int) -> CriterionResult:
+def criterion_sharpness(catalog: Catalog, reports: dict,
+                        oracle_cap: int) -> CriterionResult:
     def body():
-        witnesses = [(e.name, catalog.build(e.name)) for e in catalog.entries]
         details = []
         for p, expected_name, expected_t in ((2, "C2wrC4", 8),
                                              (3, "C3wrC3", 8)):
             try:
-                rep = corollary_sharpness(p, witnesses)
+                rep = corollary_sharpness(
+                    p, list(_lie_nilpotent(reports, primes=(p,))))
             except NoWitnessFoundError:
                 return "fail", f"no sharpness witness for p = {p}"
             names = {w.name: w for w in rep.witnesses}
@@ -217,21 +231,20 @@ def criterion_sharpness(catalog: Catalog, oracle_cap: int) -> CriterionResult:
                 body)
 
 
-def criterion_vanishing_and_quotients(catalog: Catalog,
+def criterion_vanishing_and_quotients(catalog: Catalog, reports: dict,
                                       oracle_cap: int) -> CriterionResult:
     def body():
         violations = []
         count = 0
-        for name, g, p in _lie_nilpotent_pairs(catalog):
-            report = shalev_vanishing_report(g, p)
+        for rep in _lie_nilpotent(reports):
             count += 1
-            if report:
-                violations.append(f"{name}@p{p}: {report}")
+            if not rep.checks["shalev_vanishing"]:
+                violations.append(f"{rep.name}@p{rep.prime}: a forced-"
+                                  f"vanishing rule fails")
         for name, p in (("C2wrC4", 2), ("C3wrC3", 3)):
             g = catalog.build(name)
-            series = series_recursive(g, p)
-            dv = d_vector(series)
-            h = series.term(p ** (dv.n - 1))
+            n = _report(reports, name, p).n
+            h = series_recursive(g, p).term(p ** (n - 1))
             if not quotient_series_check(g, p, h):
                 violations.append(f"{name}@p{p}: quotient series mismatch")
         if violations:
@@ -246,11 +259,9 @@ def _relabelled(g: FiniteGroup, rng: random.Random) -> FiniteGroup:
     n = g.order
     perm = list(range(n))
     rng.shuffle(perm)
+    perm = np.array(perm)
     table = np.empty((n, n), dtype=np.int64)
-    dense = g.dense_table()
-    for i in range(n):
-        for j in range(n):
-            table[perm[i], perm[j]] = perm[int(dense[i, j])]
+    table[np.ix_(perm, perm)] = perm[g.dense_table()]
     return from_multiplication_table(table)
 
 
@@ -259,14 +270,14 @@ _RELABEL_KEYS = ("order", "lie_nilpotent", "nilpotency_class", "gamma_series",
                  "verdict", "structural_case", "profile_case")
 
 
-def criterion_sum_rule_and_relabelling(catalog: Catalog,
+def criterion_sum_rule_and_relabelling(catalog: Catalog, reports: dict,
                                        oracle_cap: int) -> CriterionResult:
     def body():
         violations = []
         count = 0
-        for name, g, p in _lie_nilpotent_pairs(catalog):
-            if not verify_sum_rule(d_vector(series_recursive(g, p))):
-                violations.append(f"{name}@p{p}: sum rule fails")
+        for rep in _lie_nilpotent(reports):
+            if not rep.checks["sum_rule"]:
+                violations.append(f"{rep.name}@p{rep.prime}: sum rule fails")
             count += 1
         rng = random.Random(20260810)
         for name, p in (("D8", 2), ("Q8", 2), ("C4xC2", 2), ("H27", 3)):
@@ -287,25 +298,23 @@ def criterion_sum_rule_and_relabelling(catalog: Catalog,
                 "jump exponents sum to n; reports survive relabelling", body)
 
 
-def criterion_negative_controls(catalog: Catalog,
+def criterion_negative_controls(catalog: Catalog, reports: dict,
                                 oracle_cap: int) -> CriterionResult:
     def body():
         failures = []
-        s3 = catalog.build("S3")
         for p in PRIMES:
-            rep = analyze(s3, p, name="S3", run_oracle=False)
+            rep = _report(reports, "S3", p)
             if rep.lie_nilpotent or rep.verdict != "not_lie_nilpotent":
                 failures.append(f"S3@p{p}: verdict {rep.verdict}")
         abelian_count = 0
-        for entry in catalog.entries:
-            g = catalog.build(entry.name)
-            if not g.is_abelian():
+        for name, p in reports:
+            rep = _report(reports, name, p)
+            if rep.nilpotency_class not in (0, 1):
                 continue
-            for p in PRIMES:
-                t = upper_index_jennings(d_vector(series_recursive(g, p)))
-                if t != 2:
-                    failures.append(f"{entry.name}@p{p}: abelian t = {t}")
-                abelian_count += 1
+            if rep.t_upper_jennings != 2:
+                failures.append(
+                    f"{name}@p{p}: abelian t = {rep.t_upper_jennings}")
+            abelian_count += 1
         if failures:
             return "fail", "; ".join(failures)
         return "pass", (f"S3 rejected at p = 2, 3, 5; t = 2 on "
@@ -331,4 +340,5 @@ def run_all(catalog: Catalog | None = None, *,
             oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[CriterionResult]:
     if catalog is None:
         catalog = Catalog.load()
-    return [fn(catalog, oracle_cap) for fn in CRITERIA]
+    reports = analyze_catalog(catalog, oracle_cap)
+    return [fn(catalog, reports, oracle_cap) for fn in CRITERIA]

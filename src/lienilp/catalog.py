@@ -153,11 +153,6 @@ class Catalog:
     def build(self, name: str) -> FiniteGroup:
         return self._build(name, ())
 
-    def build_entry(self, entry: CatalogEntry) -> FiniteGroup:
-        if entry.name in self.by_name:
-            return self.build(entry.name)
-        return _construct(entry, self, ())
-
     def _build(self, name: str, stack: tuple[str, ...]) -> FiniteGroup:
         if name in self._built:
             return self._built[name]
@@ -170,11 +165,6 @@ class Catalog:
         group = _construct(self.by_name[name], self, stack + (name,))
         self._built[name] = group
         return group
-
-
-def build(entry: CatalogEntry, catalog: Catalog) -> FiniteGroup:
-    """Build one entry, resolving references through the catalog."""
-    return catalog.build_entry(entry)
 
 
 def _require(entry: CatalogEntry, key: str):

@@ -6,58 +6,36 @@ structurally (class plus abelian types of the lower-central terms),
 numerically from the jump-exponent profile, and directly from the
 computed index.  The three detectors must agree; cross_validate reports
 any disagreement instead of raising.
+
+Every function here is a pure function of the facts it reads, so one
+analysis computes those facts once and hands them over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-from .dimension import (
-    DVector,
-    d_vector,
-    series_recursive,
-    upper_index_jennings,
-)
-from .errors import NotLieNilpotentError, NoWitnessFoundError
-from .groups import (
-    AbelianType,
-    FiniteGroup,
-    abelian_invariants,
-    is_abelian_subgroup,
-    lower_central_series,
-    nilpotency_class,
-    trivial_subgroup,
-)
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    is_lie_nilpotent,
-    lower_lie_powers,
-    upper_lie_powers,
-)
+from .dimension import DVector, upper_index_jennings
+from .errors import NoWitnessFoundError
+from .groups import AbelianType
 
-STRUCTURAL_CASES = ("i", "ii", "iii", "iv")
+if TYPE_CHECKING:
+    from .report import LieReport
 
 
-def _gamma_type(g: FiniteGroup, i: int) -> AbelianType | None:
-    """Abelian type of the i-th lower central term (1-based), or None
-    when the term is nonabelian."""
-    gamma = lower_central_series(g)
-    term = gamma[i - 1] if i <= len(gamma) else trivial_subgroup(g)
-    if not is_abelian_subgroup(term):
-        return None
-    return abelian_invariants(term)
-
-
-def theorem1_structural_case(g: FiniteGroup, p: int) -> str | None:
+def theorem1_structural_case(p: int,
+                             gamma_types: Sequence[AbelianType | None]
+                             ) -> str | None:
     """Match the structural conditions that characterise an almost
-    maximal upper index; the four cases are mutually exclusive."""
-    if not is_lie_nilpotent(g, p):
-        raise NotLieNilpotentError(
-            f"KG is not Lie nilpotent for p = {p}")
-    cl = nilpotency_class(g)
-    g2 = _gamma_type(g, 2)
-    g3 = _gamma_type(g, 3)
+    maximal upper index; the four cases are mutually exclusive.
+
+    ``gamma_types`` are the abelian types of the lower central terms of
+    a Lie nilpotent KG, from G down to the trivial term (None for a
+    nonabelian term); the class is the number of nontrivial terms."""
+    cl = sum(t is None or bool(t.factors) for t in gamma_types)
+    g2 = gamma_types[1] if len(gamma_types) > 1 else None
+    g3 = gamma_types[2] if len(gamma_types) > 2 else None
     if p == 2 and cl == 2 and g2 == AbelianType((2, 2)):
         return "i"
     if p == 2 and cl == 4 and g2 == AbelianType((4, 2)) \
@@ -104,8 +82,6 @@ class Verdict:
     case: str | None     # structural case when almost maximal
     t_upper: int | None
     n: int | None
-    p: int
-    evidence: dict = field(default_factory=dict)
 
     @property
     def tag(self) -> str:
@@ -125,39 +101,19 @@ def _bucket(t: int, n: int, p: int) -> str:
     return "below"
 
 
-def classify(g: FiniteGroup, p: int, *,
-             oracle_cap: int = DEFAULT_ORACLE_CAP,
-             run_oracle: bool | None = None) -> Verdict:
-    """Bucket (G, p) by the computed upper index and attach evidence.
-
-    The oracle indices are attached when the group fits under the
-    oracle cap (or run_oracle forces/disables it); they never change
-    the bucket.
-    """
-    if not is_lie_nilpotent(g, p):
+def classify(d: DVector | None, structural: str | None) -> Verdict:
+    """Bucket (G, p) by the upper index computed from the jump
+    exponents; ``d`` is None when KG is not Lie nilpotent.  The
+    structural case names an almost maximal verdict and never moves the
+    bucket."""
+    if d is None:
         return Verdict(status="not_lie_nilpotent", case=None, t_upper=None,
-                       n=None, p=p)
-    d = d_vector(series_recursive(g, p))
+                       n=None)
     t = upper_index_jennings(d)
-    status = _bucket(t, d.n, p)
-    evidence: dict = {
-        "class": nilpotency_class(g),
-        "gamma2_type": getattr(_gamma_type(g, 2), "factors", None),
-        "gamma3_type": getattr(_gamma_type(g, 3), "factors", None),
-        "profile_case": lemma2_profile(d),
-    }
-    case = theorem1_structural_case(g, p)
-    evidence["structural_case"] = case
-    if run_oracle is None:
-        run_oracle = g.order <= oracle_cap
-    if run_oracle:
-        _, t_up = upper_lie_powers(g, p, oracle_cap=max(oracle_cap, g.order))
-        _, t_low = lower_lie_powers(g, p, oracle_cap=max(oracle_cap, g.order))
-        evidence["oracle_t_upper"] = t_up
-        evidence["oracle_t_lower"] = t_low
+    status = _bucket(t, d.n, d.prime)
     return Verdict(status=status,
-                   case=case if status == "almost_maximal" else None,
-                   t_upper=t, n=d.n, p=p, evidence=evidence)
+                   case=structural if status == "almost_maximal" else None,
+                   t_upper=t, n=d.n)
 
 
 @dataclass
@@ -174,16 +130,13 @@ class ConsistencyReport:
     detail: str
 
 
-def cross_validate(g: FiniteGroup, p: int) -> ConsistencyReport:
+def cross_validate(d: DVector, structural: str | None,
+                   profile: str | None) -> ConsistencyReport:
     """Assert the three-way biconditional between the structural case,
     the jump profile, and the computed index; disagreement is reported,
     not raised."""
-    if not is_lie_nilpotent(g, p):
-        raise NotLieNilpotentError(f"KG is not Lie nilpotent for p = {p}")
-    d = d_vector(series_recursive(g, p))
+    p = d.prime
     t = upper_index_jennings(d)
-    structural = theorem1_structural_case(g, p)
-    profile = lemma2_profile(d)
     numeric = (d.n > 0) and t == p ** d.n - p + 2
     consistent = (structural is not None) == numeric \
         and (profile is not None) == numeric
@@ -218,27 +171,21 @@ class SharpnessReport:
         return any(w.t_upper >= w.small_p_bound for w in self.witnesses)
 
 
-def corollary_sharpness(p: int,
-                        witnesses: Sequence[tuple[str, FiniteGroup]]
+def corollary_sharpness(p: int, reports: Sequence[LieReport]
                         ) -> SharpnessReport:
-    """Exhibit catalog groups attaining the second-highest index value
+    """Exhibit analysed groups attaining the second-highest index value
     (2^n for p = 2, 3^n - 1 for p = 3), showing the bound for p >= 5
-    does not extend down to p = 2, 3."""
+    does not extend down to p = 2, 3.  Reports at another prime are
+    ignored."""
     if p not in (2, 3):
         raise ValueError("sharpness targets exist only for p = 2 and p = 3")
-    found: list[SharpnessWitness] = []
-    for name, g in witnesses:
-        if not is_lie_nilpotent(g, p):
-            continue
-        d = d_vector(series_recursive(g, p))
-        if d.n == 0:
-            continue
-        t = upper_index_jennings(d)
-        if t == p ** d.n - p + 2:
-            found.append(SharpnessWitness(
-                name=name, order=g.order, n=d.n, t_upper=t,
-                small_p_bound=p ** (d.n - 1) + 2 * p - 1))
+    found = [SharpnessWitness(name=r.name, order=r.order, n=r.n,
+                              t_upper=r.t_upper_jennings,
+                              small_p_bound=p ** (r.n - 1) + 2 * p - 1)
+             for r in reports
+             if r.prime == p and r.n
+             and r.t_upper_jennings == p ** r.n - p + 2]
     if not found:
         raise NoWitnessFoundError(
-            f"catalog holds no almost-maximal witness for p = {p}")
+            f"no almost-maximal witness among the reports for p = {p}")
     return SharpnessReport(p=p, witnesses=found)

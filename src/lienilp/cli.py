@@ -101,8 +101,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report.all_checks_pass else EXIT_CONSISTENCY
 
 
-def _scan_summary(reports: list[LieReport], catalog: Catalog,
-                  prime: int) -> dict:
+def _scan_summary(reports: list[LieReport], prime: int) -> dict:
+    """Verdict counts, failed checks and the sharpness witnesses among
+    the scanned groups."""
     verdicts: dict[str, int] = {}
     violations = []
     for r in reports:
@@ -113,13 +114,11 @@ def _scan_summary(reports: list[LieReport], catalog: Catalog,
     witnesses = []
     if prime in (2, 3):
         try:
-            rep = corollary_sharpness(
-                prime, [(e.name, catalog.build(e.name))
-                        for e in catalog.entries])
+            rep = corollary_sharpness(prime, reports)
             witnesses = [{"name": w.name, "n": w.n, "t_upper": w.t_upper}
                          for w in rep.witnesses]
         except NoWitnessFoundError:
-            witnesses = []
+            pass
     return {
         "prime": prime,
         "groups_scanned": len(reports),
@@ -149,7 +148,7 @@ def cmd_scan(args) -> int:
         except LieNilpError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return EXIT_BUILD
-    summary = _scan_summary(reports, catalog, args.prime)
+    summary = _scan_summary(reports, args.prime)
     if args.json:
         _dump_json({"reports": [r.to_json_dict() for r in reports],
                     "summary": summary})

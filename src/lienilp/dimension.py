@@ -210,15 +210,15 @@ def _is_power_of(m: int, p: int) -> bool:
     return _p_log(m, p) is not None
 
 
-def shalev_vanishing_report(g: FiniteGroup, p: int) -> list[dict]:
+def shalev_vanishing_report(series: DimensionSeries,
+                            d: DVector) -> list[dict]:
     """Check the forced-vanishing rules on every gap of the series.
 
     Whenever d_{m+1} = 0 with m a power of p, or with p^(l-1) dividing
-    m, the term D_{m+1} must already be trivial.  Returns the list of
-    violations (expected empty).
+    m, the term D_{m+1} must already be trivial.  ``d`` is the d-vector
+    of ``series``.  Returns the list of violations (expected empty).
     """
-    series = series_recursive(g, p)
-    d = d_vector(series)
+    p = series.prime
     violations: list[dict] = []
     if d.n == 0:
         return violations

@@ -552,8 +552,8 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action, *,
         raise CapExceededError(
             "semidirect products above the table limit are not supported; "
             "use a permutation construction such as wreath_cyclic")
-    tn = n.dense_table().astype(np.int64)
-    th = h.dense_table().astype(np.int64)
+    tn = n.dense_table()
+    th = h.dense_table()
     acts = _as_action_arrays(n, h, action)
 
     idx = np.arange(n.order)
@@ -574,13 +574,13 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action, *,
                 raise NotHomomorphismError(
                     f"action is not multiplicative at the pair ({j}, {k})")
 
+    # int32 throughout: entries stay below order <= TABLE_BACKING_LIMIT.
     nh = h.order
-    table = np.empty((order, order), dtype=np.int64)
+    table = np.empty((order, order), dtype=np.int32)
     for j1 in range(nh):
         twisted = tn[:, acts[j1]]                     # n1 * act(h1)(n2)
-        block = twisted[:, :, None] * nh + th[j1][None, None, :]
-        rows = np.arange(n.order) * nh + j1
-        table[rows] = block.reshape(n.order, order)
+        block = twisted[:, :, None] * np.int32(nh) + th[j1][None, None, :]
+        table[j1::nh] = block.reshape(n.order, order)  # rows (n1, h1)
     gens = tuple(g * nh for g in n.generators) + tuple(h.generators)
     return FiniteGroup(table=table, generators=gens)
 

@@ -159,19 +159,6 @@ class FpSubspace:
         return f"FpSubspace(p={self.p}, width={self.width}, dim={self.dim})"
 
 
-def echelonize(vectors, p: int, width: int | None = None) -> FpSubspace:
-    """Row-reduce a list of vectors into a subspace."""
-    return FpSubspace.from_vectors(vectors, p, width)
-
-
-def subspace_sum(a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    return a.sum(b)
-
-
-def subspace_contains(s: FpSubspace, vec) -> bool:
-    return s.contains(vec)
-
-
 class _EchelonBuilder:
     """The GF(p) row reduction engine: a fully reduced echelon basis
     that grows by absorbing blocks of candidate rows.
@@ -352,25 +339,6 @@ class GroupAlgebra:
                 self._brackets(current.basis, self._gens), self.p, self.n)
             chain.append(self.ideal_closure(span))
         return chain[m - 1]
-
-
-def ideal_generated(gens: FpSubspace, group: FiniteGroup, *,
-                    oracle_cap: int = DEFAULT_ORACLE_CAP) -> FpSubspace:
-    """Two-sided associative ideal generated by a subspace of KG."""
-    algebra = GroupAlgebra(group, gens.p, oracle_cap=oracle_cap)
-    if gens.width != algebra.n:
-        raise DimensionMismatchError("generating span has the wrong width")
-    return algebra.ideal_closure(gens)
-
-
-def algebra_multiply(group: FiniteGroup, p: int, x, y, *,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    return GroupAlgebra(group, p, oracle_cap=oracle_cap).multiply(x, y)
-
-
-def lie_bracket(group: FiniteGroup, p: int, x, y, *,
-                oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    return GroupAlgebra(group, p, oracle_cap=oracle_cap).bracket(x, y)
 
 
 def _algebra(group: FiniteGroup | GroupAlgebra, p: int,

@@ -105,34 +105,29 @@ class LieReport:
         }
 
 
-def _gamma_summary(g: FiniteGroup) -> list[dict]:
-    out = []
-    for term in lower_central_series(g):
-        entry: dict = {"order": term.order}
-        if is_abelian_subgroup(term):
-            entry["abelian_type"] = list(abelian_invariants(term).factors)
-        else:
-            entry["abelian_type"] = None
-        out.append(entry)
-    return out
-
-
 def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
             run_oracle: bool | None = None,
             oracle_cap: int = DEFAULT_ORACLE_CAP) -> LieReport:
     """Run the whole pipeline on one group at one characteristic.
 
-    Group-theoretic facts and the series formulas always run; the
+    This is the one place where each fact about (G, p) is computed: the
+    lower central series and its abelian types, both series routes, the
+    d-vector, the structural case, the jump profile and the oracle
+    chains.  The detectors and cross-checks read those facts.  The
     explicit group-algebra oracle runs when the order fits under the
-    cap (or when forced).  Every cross-check lands in ``checks``,
-    with None marking checks that could not run.  Raises NotPrimeError
+    cap (or when forced).  Every cross-check lands in ``checks``, with
+    None marking checks that could not run.  Raises NotPrimeError
     unless ``prime`` is a prime >= 2.
     """
     if not is_prime(prime):
         raise NotPrimeError(f"p must be a prime >= 2, got {prime}")
     start = time.perf_counter()
-    gamma = _gamma_summary(g)
     series = lower_central_series(g)
+    types = [abelian_invariants(t) if is_abelian_subgroup(t) else None
+             for t in series]
+    gamma = [{"order": t.order,
+              "abelian_type": list(a.factors) if a is not None else None}
+             for t, a in zip(series, types)]
     cls_ = len(series) - 1 if series[-1].is_trivial else None
     ln = is_lie_nilpotent(g, prime)
 
@@ -144,21 +139,19 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     if ln:
         series_rec = series_recursive(g, prime)
         series_prod = series_product(g, prime)
-        checks["routes_agree"] = (
-            len(series_rec.terms) == len(series_prod.terms)
-            and all(a == b for a, b in zip(series_rec.terms,
-                                           series_prod.terms)))
+        checks["routes_agree"] = series_rec.terms == series_prod.terms
         dvec = d_vector(series_rec)
         n, l = dvec.n, dvec.l
         t_jennings = upper_index_jennings(dvec)
         checks["sum_rule"] = verify_sum_rule(dvec)
-        checks["shalev_vanishing"] = not shalev_vanishing_report(g, prime)
-        structural = theorem1_structural_case(g, prime)
+        checks["shalev_vanishing"] = \
+            not shalev_vanishing_report(series_rec, dvec)
+        structural = theorem1_structural_case(prime, types)
         profile = lemma2_profile(dvec)
         checks["classification_biconditional"] = \
-            cross_validate(g, prime).consistent
+            cross_validate(dvec, structural, profile).consistent
 
-    verdict = classify(g, prime, run_oracle=False)
+    verdict = classify(dvec, structural)
     oracle = OracleResult(ran=False)
     if run_oracle is None:
         run_oracle = g.order <= oracle_cap
@@ -175,9 +168,8 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
                                   direct_series_orders=[s.order
                                                         for s in direct])
             checks["oracle_upper_matches_jennings"] = t_up == t_jennings
-            checks["direct_series_agrees"] = (
-                len(direct) == len(series_rec.terms)
-                and all(a == b for a, b in zip(direct, series_rec.terms)))
+            checks["direct_series_agrees"] = \
+                tuple(direct) == series_rec.terms
             derived_order = series_rec.terms[1].order \
                 if len(series_rec.terms) > 1 else 1
             checks["bounds"] = t_low <= t_up <= derived_order + 1
@@ -211,7 +203,6 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
 
 def render_text(report: LieReport, *, show_timing: bool = True) -> str:
     """Human-readable block, deterministic apart from the timing line."""
-    d = report.to_json_dict()
     lines = [f"group {report.name}  (order {report.order}, p = {report.prime})"]
     lines.append(f"  lie nilpotent : {report.lie_nilpotent}")
     lines.append(f"  class         : {report.nilpotency_class}")

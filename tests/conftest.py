@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lienilp.acceptance import analyze_catalog
 from lienilp.catalog import Catalog
 from lienilp.groups import FiniteGroup, commutator
-from lienilp.report import analyze
+from lienilp.oracle import DEFAULT_ORACLE_CAP
 
 
 def brute_closure(g: FiniteGroup, seed) -> frozenset[int]:
@@ -198,6 +199,6 @@ def built(catalog):
 @pytest.fixture(scope="session")
 def catalog_reports(catalog):
     """Every shipped entry analysed at p = 2, 3, 5 with the CLI defaults
-    (oracle up to order 128), keyed by (name, p)."""
-    return {(e.name, p): analyze(catalog.build(e.name), p, name=e.name)
-            for e in catalog.entries for p in (2, 3, 5)}
+    (oracle up to order 128), keyed by (name, p); the acceptance
+    criteria read the same reports."""
+    return analyze_catalog(catalog, DEFAULT_ORACLE_CAP)

@@ -12,19 +12,40 @@ from lienilp.classify import (
 )
 from lienilp.dimension import DVector, d_vector, series_recursive, \
     upper_index_jennings
-from lienilp.errors import NoWitnessFoundError, NotLieNilpotentError
-from lienilp.groups import abelian_invariants, lower_central_series
+from lienilp.errors import NoWitnessFoundError
+from lienilp.groups import (
+    AbelianType,
+    abelian_invariants,
+    is_abelian_subgroup,
+    lower_central_series,
+)
 from lienilp.oracle import is_lie_nilpotent
 
 
+def _types(g):
+    """Abelian types of the lower central terms (None if nonabelian)."""
+    return [abelian_invariants(t) if is_abelian_subgroup(t) else None
+            for t in lower_central_series(g)]
+
+
+def _facts(g, p):
+    """The d-vector and structural case the detectors read."""
+    return (d_vector(series_recursive(g, p)),
+            theorem1_structural_case(p, _types(g)))
+
+
 def test_structural_cases(built):
-    assert theorem1_structural_case(built("D8xD8"), 2) == "i"
-    assert theorem1_structural_case(built("C2wrC4"), 2) == "iii"
-    assert theorem1_structural_case(built("C3wrC3"), 3) == "iv"
-    assert theorem1_structural_case(built("D8"), 2) is None
-    assert theorem1_structural_case(built("C4xC2"), 2) is None
-    with pytest.raises(NotLieNilpotentError):
-        theorem1_structural_case(built("S3"), 2)
+    assert theorem1_structural_case(2, _types(built("D8xD8"))) == "i"
+    assert theorem1_structural_case(2, _types(built("C2wrC4"))) == "iii"
+    assert theorem1_structural_case(3, _types(built("C3wrC3"))) == "iv"
+    assert theorem1_structural_case(2, _types(built("D8"))) is None
+    assert theorem1_structural_case(2, _types(built("C4xC2"))) is None
+    # The detector reads the types alone: class 2 with G' of type (2, 2).
+    trivial = AbelianType(())
+    assert theorem1_structural_case(
+        2, [None, AbelianType((2, 2)), trivial]) == "i"
+    assert theorem1_structural_case(
+        3, [None, AbelianType((2, 2)), trivial]) is None
 
 
 def test_case_iv_witness_has_cyclic_third_term(built):
@@ -37,13 +58,12 @@ def test_structural_cases_mutually_exclusive(catalog):
     """At most one case predicate fires for any (group, prime)."""
     for entry in catalog.entries:
         g = catalog.build(entry.name)
+        types = _types(g) + [AbelianType(())] * 2
+        cl = sum(t is None or bool(t.factors) for t in types)
+        g2, g3 = types[1], types[2]
         for p in (2, 3):
             if not is_lie_nilpotent(g, p):
                 continue
-            from lienilp.classify import _gamma_type, AbelianType
-            from lienilp.groups import nilpotency_class
-            cl = nilpotency_class(g)
-            g2, g3 = _gamma_type(g, 2), _gamma_type(g, 3)
             hits = [
                 p == 2 and cl == 2 and g2 == AbelianType((2, 2)),
                 p == 2 and cl == 4 and g2 == AbelianType((4, 2))
@@ -52,6 +72,8 @@ def test_structural_cases_mutually_exclusive(catalog):
                 p == 3 and cl == 3 and g2 == AbelianType((3, 3)),
             ]
             assert sum(hits) <= 1, entry.name
+            assert (theorem1_structural_case(p, _types(g)) is None) \
+                == (sum(hits) == 0), entry.name
 
 
 def test_lemma2_profiles():
@@ -76,27 +98,21 @@ def test_profile_positions_count():
 
 
 def test_classify_verdicts(built):
-    v = classify(built("D8"), 2)
+    v = classify(*_facts(built("D8"), 2))
     assert v.status == "maximal" and v.t_upper == 3 and v.tag == "maximal"
-    v = classify(built("D8xD8"), 2)
+    v = classify(*_facts(built("D8xD8"), 2))
     assert v.tag == "almost_maximal.i" and v.t_upper == 4
-    v = classify(built("C2wrC4"), 2)
+    v = classify(*_facts(built("C2wrC4"), 2))
     assert v.tag == "almost_maximal.iii" and v.t_upper == 8
-    v = classify(built("C3wrC3"), 3, run_oracle=False)
+    v = classify(*_facts(built("C3wrC3"), 3))
     assert v.tag == "almost_maximal.iv" and v.t_upper == 8
-    v = classify(built("C4xC2"), 2)
+    v = classify(*_facts(built("C4xC2"), 2))
     assert v.status == "abelian" and v.t_upper == 2 and v.n == 0
-    v = classify(built("S3"), 5)
+    v = classify(None, None)
     assert v.status == "not_lie_nilpotent" and v.t_upper is None
-
-
-def test_classify_attaches_oracle_indices(built):
-    v = classify(built("D8"), 2)
-    assert v.evidence["oracle_t_upper"] == 3
-    assert v.evidence["oracle_t_lower"] == 3
-    bare = classify(built("D8"), 2, run_oracle=False)
-    assert "oracle_t_upper" not in bare.evidence
-    assert bare.status == v.status      # evidence never moves the bucket
+    # The structural case names the verdict but never moves the bucket.
+    d, _ = _facts(built("D8"), 2)
+    assert classify(d, "i").tag == "maximal"
 
 
 def test_bucket_depends_only_on_numbers():
@@ -110,33 +126,34 @@ def test_bucket_depends_only_on_numbers():
 
 
 def test_cross_validate(built):
-    rep = cross_validate(built("D8"), 2)
+    d, structural = _facts(built("D8"), 2)
+    rep = cross_validate(d, structural, lemma2_profile(d))
     assert rep.consistent
     assert rep.structural_case is None and rep.profile_case is None
     assert not rep.numeric_almost_maximal
     for name, p in (("C2wrC4", 2), ("C3wrC3", 3), ("D8xD8", 2)):
-        rep = cross_validate(built(name), p)
+        d, structural = _facts(built(name), p)
+        rep = cross_validate(d, structural, lemma2_profile(d))
         assert rep.consistent and rep.numeric_almost_maximal
         assert rep.structural_case is not None
         assert rep.profile_case is not None
-    with pytest.raises(NotLieNilpotentError):
-        cross_validate(built("S3"), 2)
+    # A structural case the index does not back is reported, not raised.
+    d, _ = _facts(built("D8"), 2)
+    rep = cross_validate(d, "i", None)
+    assert not rep.consistent and rep.detail.startswith("disagreement")
 
 
-def test_maximal_iff_cyclic_derived(catalog):
+def test_maximal_iff_cyclic_derived(catalog_reports):
     """Nontrivial cyclic commutator subgroup forces the maximal verdict."""
-    from lienilp.groups import is_abelian_subgroup
-    for entry in catalog.entries:
-        g = catalog.build(entry.name)
-        for p in (2, 3, 5):
-            if not is_lie_nilpotent(g, p) or g.is_abelian():
-                continue
-            derived = lower_central_series(g)[1]
-            if not is_abelian_subgroup(derived):
-                continue
-            v = classify(g, p, run_oracle=False)
-            if abelian_invariants(derived).is_cyclic:
-                assert v.status == "maximal", entry.name
+    checked = 0
+    for (name, p), rep in catalog_reports.items():
+        if not rep.lie_nilpotent or rep.nilpotency_class < 2:
+            continue
+        derived_type = rep.gamma_series[1]["abelian_type"]
+        if derived_type is not None and len(derived_type) == 1:
+            assert rep.verdict == "maximal", f"{name}@p{p}"
+            checked += 1
+    assert checked >= 4
 
 
 def test_p5_bound_for_noncyclic_derived(catalog):
@@ -157,19 +174,24 @@ def test_p5_bound_for_noncyclic_derived(catalog):
     assert checked >= 1      # C5wrC5 keeps this non-vacuous
 
 
-def test_corollary_sharpness(catalog):
-    witnesses = [(e.name, catalog.build(e.name)) for e in catalog.entries]
-    rep2 = corollary_sharpness(2, witnesses)
+def test_corollary_sharpness(catalog_reports):
+    reports = list(catalog_reports.values())
+    rep2 = corollary_sharpness(2, reports)
     names2 = {w.name: w for w in rep2.witnesses}
     assert "C2wrC4" in names2 and names2["C2wrC4"].t_upper == 8 == 2 ** 3
     assert rep2.bound_fails_for_small_p
-    rep3 = corollary_sharpness(3, witnesses)
+    rep3 = corollary_sharpness(3, reports)
     names3 = {w.name: w for w in rep3.witnesses}
     assert "C3wrC3" in names3
     w = names3["C3wrC3"]
     assert w.t_upper == 8 == 3 ** 2 - 1
     assert w.small_p_bound == 8       # met with equality, so no stronger gap
+    # Only reports at the asked prime count.
+    assert corollary_sharpness(
+        3, [r for r in reports if r.prime == 3]).witnesses == rep3.witnesses
     with pytest.raises(NoWitnessFoundError):
-        corollary_sharpness(2, [("C4", catalog.build("C4"))])
+        corollary_sharpness(2, [catalog_reports["C4", 2]])
+    with pytest.raises(NoWitnessFoundError):
+        corollary_sharpness(2, [catalog_reports["C3wrC3", 3]])
     with pytest.raises(ValueError):
-        corollary_sharpness(5, witnesses)
+        corollary_sharpness(5, reports)

@@ -161,7 +161,9 @@ def test_not_lie_nilpotent_errors(built):
 
 def test_shalev_vanishing_clean(catalog):
     for name, g, p in _lie_nilpotent_pairs(catalog):
-        assert shalev_vanishing_report(g, p) == [], f"{name}@p{p}"
+        series = series_recursive(g, p)
+        assert shalev_vanishing_report(series, d_vector(series)) == [], \
+            f"{name}@p{p}"
 
 
 def test_quotient_series_check(built):

@@ -316,6 +316,49 @@ def test_semidirect_rejects_non_homomorphism():
         semidirect_product(c4, c2, [[0, 1, 2, 3], alpha])
 
 
+def _int64_semidirect_table(n, h, action):
+    """The table as semidirect_product used to build it: int64 copies of
+    both factor tables and an int64 result, cast to int32 at the end."""
+    tn = n.dense_table().astype(np.int64)
+    th = h.dense_table().astype(np.int64)
+    acts = [np.asarray(action[j], dtype=np.int64) for j in range(h.order)]
+    nh = h.order
+    table = np.empty((n.order * nh, n.order * nh), dtype=np.int64)
+    for j1 in range(nh):
+        block = tn[:, acts[j1]][:, :, None] * nh + th[j1][None, None, :]
+        table[np.arange(n.order) * nh + j1] = block.reshape(n.order, -1)
+    return table.astype(np.int32)
+
+
+def test_semidirect_table_matches_int64_construction(monkeypatch):
+    """The int32 build gives the same table as the int64 one on the two
+    catalog semidirect products and on (D8 x C4)^2 x| C2 (order 2048,
+    swap action)."""
+    from lienilp import catalog as catalog_module
+    calls = []
+    real = catalog_module.semidirect_product
+
+    def recording(n, h, action, **kwargs):
+        calls.append((n, h, action))
+        return real(n, h, action, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "semidirect_product", recording)
+    fresh = Catalog.load()
+    groups_built = [fresh.build("D8sd"), fresh.build("D8wrC2")]
+    assert len(calls) == 2
+    a = direct_product(dihedral_group(8), cyclic_group(4))
+    swap = np.arange(1024).reshape(32, 32).T.reshape(-1)
+    calls.append((direct_product(a, a), cyclic_group(2),
+                  [np.arange(1024), swap]))
+    groups_built.append(semidirect_product(*calls[-1]))
+    for g, (n, h, action) in zip(groups_built, calls):
+        table = g.dense_table()
+        assert table.dtype == np.int32
+        assert table.tobytes() == \
+            _int64_semidirect_table(n, h, action).tobytes()
+    assert groups_built[-1].order == 2048
+
+
 def test_wreath_orders():
     assert wreath_cyclic(2, 4).order == 64
     assert wreath_cyclic(3, 3).order == 81

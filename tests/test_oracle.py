@@ -22,12 +22,8 @@ from lienilp.oracle import (
     _EchelonBuilder,
     dimension_series_direct,
     dimension_subgroup_direct,
-    echelonize,
-    ideal_generated,
     is_lie_nilpotent,
     lower_lie_powers,
-    subspace_contains,
-    subspace_sum,
     upper_lie_powers,
 )
 from lienilp.dimension import d_vector as series_d_vector, \
@@ -80,15 +76,6 @@ def test_square_of_one_plus_central_involution():
     assert not alg.multiply(v, v).any()
 
 
-def test_module_level_product_and_bracket(built):
-    from lienilp.oracle import algebra_multiply, lie_bracket
-    d8 = built("D8")
-    x, y = np.eye(8, dtype=int)[1], np.eye(8, dtype=int)[4]
-    assert np.array_equal(algebra_multiply(d8, 2, x, y),
-                          np.eye(8, dtype=int)[d8.multiply(1, 4)])
-    assert lie_bracket(d8, 2, x, y).any()
-
-
 def test_brackets(built):
     d8 = built("D8")
     alg = GroupAlgebra(d8, 2)
@@ -106,36 +93,37 @@ def test_brackets(built):
 
 
 def test_echelonize_basics():
-    s = echelonize([[1, 0, 0], [1, 0, 0], [2, 0, 0]], 3)
+    s = FpSubspace.from_vectors([[1, 0, 0], [1, 0, 0], [2, 0, 0]], 3)
     assert s.dim == 1
-    z = echelonize([[0, 0, 0]], 5, 3)
+    z = FpSubspace.from_vectors([[0, 0, 0]], 5, 3)
     assert z.dim == 0
-    span = echelonize([[1, 0, 0], [1, 1, 0]], 2)
-    assert subspace_contains(span, [0, 1, 0])
-    assert not subspace_contains(span, [0, 0, 1])
+    span = FpSubspace.from_vectors([[1, 0, 0], [1, 1, 0]], 2)
+    assert span.contains([0, 1, 0])
+    assert not span.contains([0, 0, 1])
 
 
 def test_echelonize_shape_errors():
     with pytest.raises(DimensionMismatchError):
-        echelonize([[1, 0]], 2, width=3)
+        FpSubspace.from_vectors([[1, 0]], 2, width=3)
     with pytest.raises(DimensionMismatchError):
-        echelonize([], 2)
-    s = echelonize([[1, 0]], 2)
+        FpSubspace.from_vectors([], 2)
+    s = FpSubspace.from_vectors([[1, 0]], 2)
     with pytest.raises(DimensionMismatchError):
         s.contains([1, 0, 0])
 
 
 def test_subspace_sum():
-    a = echelonize([[1, 0, 0]], 2)
-    b = echelonize([[0, 1, 0]], 2)
-    assert subspace_sum(a, b).dim == 2
-    assert subspace_sum(a, a) == a
+    a = FpSubspace.from_vectors([[1, 0, 0]], 2)
+    b = FpSubspace.from_vectors([[0, 1, 0]], 2)
+    assert a.sum(b).dim == 2
+    assert a.sum(a) == a
 
 
 def test_rref_canonical():
     rows = [[1, 2, 0], [0, 1, 1]]
     shuffled = [[0, 1, 1], [1, 0, 1]]  # same row space mod 3
-    assert echelonize(rows, 3) == echelonize(shuffled, 3)
+    assert FpSubspace.from_vectors(rows, 3) == \
+        FpSubspace.from_vectors(shuffled, 3)
 
 
 # 2^31 - 1 and 2^61 - 1 are prime: products of two residues overflow a
@@ -184,21 +172,19 @@ def test_algebra_exact_at_large_prime(built, p):
 
 
 def test_ideal_of_identity_is_everything(built):
-    d8 = built("D8")
-    gens = echelonize([GroupAlgebra(d8, 2).delta(0)], 2)
-    assert ideal_generated(gens, d8).dim == 8
+    alg = GroupAlgebra(built("D8"), 2)
+    gens = FpSubspace.from_vectors([alg.delta(0)], 2)
+    assert alg.ideal_closure(gens).dim == 8
 
 
 def test_ideal_of_nothing_is_zero(built):
-    d8 = built("D8")
-    gens = echelonize([], 2, width=8)
-    assert ideal_generated(gens, d8).dim == 0
+    gens = FpSubspace.from_vectors([], 2, width=8)
+    assert GroupAlgebra(built("D8"), 2).ideal_closure(gens).dim == 0
 
 
 def test_augmentation_ideal_of_c2():
-    c2 = cyclic_group(2)
-    gens = echelonize([[1, 1]], 2)
-    assert ideal_generated(gens, c2).dim == 1
+    gens = FpSubspace.from_vectors([[1, 1]], 2)
+    assert GroupAlgebra(cyclic_group(2), 2).ideal_closure(gens).dim == 1
 
 
 # --- Lie power chains -------------------------------------------------------------
@@ -244,8 +230,8 @@ def test_weight_two_powers_coincide(built):
         alg = GroupAlgebra(g, p)
         pair_brackets = [alg.bracket(alg.delta(a), alg.delta(b))
                          for a in range(g.order) for b in range(a)]
-        direct = ideal_generated(
-            echelonize(pair_brackets or [], p, g.order), g)
+        direct = alg.ideal_closure(
+            FpSubspace.from_vectors(pair_brackets or [], p, g.order))
         up, _ = upper_lie_powers(g, p)
         low, _ = lower_lie_powers(g, p)
         assert direct.dim == up[1] == low[1], name
@@ -336,7 +322,8 @@ def test_ideal_closure_matches_all_elements_reference(built):
         g = built(name)
         for rows in (1, 1, 2):
             vecs = rng.integers(0, p, (rows, g.order))
-            ideal = ideal_generated(echelonize(vecs, p, g.order), g)
+            ideal = GroupAlgebra(g, p).ideal_closure(
+                FpSubspace.from_vectors(vecs, p, g.order))
             assert np.array_equal(ideal.basis,
                                   brute_ideal_closure(g, p, vecs)), name
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lienilp.catalog import Catalog
 from lienilp.dimension import d_vector, series_recursive, verify_sum_rule
 from lienilp.groups import from_multiplication_table
-from lienilp.oracle import echelonize, is_lie_nilpotent, subspace_sum
+from lienilp.oracle import FpSubspace, is_lie_nilpotent
 from lienilp.report import analyze
 
 _CATALOG = Catalog.load()
@@ -65,8 +65,8 @@ def _matrices(p):
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_echelon_idempotent_and_membership(p, data):
     rows = data.draw(_matrices(p))
-    s = echelonize(rows, p)
-    again = echelonize(s.basis, p, width=4) if s.dim else s
+    s = FpSubspace.from_vectors(rows, p)
+    again = FpSubspace.from_vectors(s.basis, p, width=4) if s.dim else s
     assert again == s
     for row in rows:
         assert s.contains(row)
@@ -81,10 +81,10 @@ def test_echelon_idempotent_and_membership(p, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_subspace_sum_laws(p, data):
-    a = echelonize(data.draw(_matrices(p)), p)
-    b = echelonize(data.draw(_matrices(p)), p)
-    ab = subspace_sum(a, b)
-    assert ab == subspace_sum(b, a)
+    a = FpSubspace.from_vectors(data.draw(_matrices(p)), p)
+    b = FpSubspace.from_vectors(data.draw(_matrices(p)), p)
+    ab = a.sum(b)
+    assert ab == b.sum(a)
     assert max(a.dim, b.dim) <= ab.dim <= min(4, a.dim + b.dim)
     assert ab.contains_all(a.basis)
     assert ab.contains_all(b.basis)
@@ -95,4 +95,5 @@ def test_subspace_sum_laws(p, data):
 def test_echelon_row_order_irrelevant(p, data):
     rows = data.draw(_matrices(p))
     perm = data.draw(st.permutations(range(len(rows))))
-    assert echelonize(rows, p) == echelonize([rows[i] for i in perm], p)
+    assert FpSubspace.from_vectors(rows, p) == \
+        FpSubspace.from_vectors([rows[i] for i in perm], p)
