@@ -14,8 +14,8 @@ GOLDEN = Path(__file__).parent / "data" / "analyze_golden.json"
 
 def test_analyze_golden(catalog_reports):
     """sha256 of json.dumps(to_json_dict()) for every shipped entry at
-    p = 2, 3, 5; the file was written before the analysis record was
-    restructured, so any change to the output shows here."""
+    p = 2, 3, 5 with the CLI defaults.  The file pins the output byte
+    for byte; only an intended change of output may rewrite it."""
     golden = json.loads(GOLDEN.read_text())
     got = {f"{name}@{p}": hashlib.sha256(
                json.dumps(rep.to_json_dict()).encode()).hexdigest()
