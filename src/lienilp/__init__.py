@@ -31,6 +31,7 @@ from .dimension import (
     DimensionSeries,
     DVector,
     d_vector,
+    is_lie_nilpotent,
     quotient_series_check,
     series_product,
     series_recursive,
@@ -43,7 +44,6 @@ from .oracle import (
     GroupAlgebra,
     dimension_series_direct,
     dimension_subgroup_direct,
-    is_lie_nilpotent,
     lower_lie_powers,
     upper_lie_powers,
 )

@@ -167,11 +167,45 @@ class Catalog:
         return group
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_rows(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(r, list) and all(map(_is_int, r)) for r in v)
+
+
+def _is_names(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# What each field must hold, as said in an error, and its test.
+_FIELDS = {
+    "order": ("an integer", _is_int),
+    "p": ("an integer", _is_int),
+    "q": ("an integer", _is_int),
+    "degree": ("an integer", _is_int),
+    "table": ("a list of integer lists", _is_rows),
+    "generators": ("a list of integer lists", _is_rows),
+    "factors": ("a list of entry names", _is_names),
+    "parts": ("a list of entry names", _is_names),
+    "action": ("an object of integer lists",
+               lambda v: isinstance(v, dict) and _is_rows(list(v.values()))),
+}
+
+
 def _require(entry: CatalogEntry, key: str):
     if key not in entry.params:
         raise CatalogParseError(
             entry.line, f"{entry.kind} entry {entry.name!r} needs {key!r}")
-    return entry.params[key]
+    value = entry.params[key]
+    what, ok = _FIELDS[key]
+    if not ok(value):
+        raise CatalogParseError(
+            entry.line, f"{entry.kind} entry {entry.name!r}: {key!r} must "
+                        f"be {what}")
+    return value
 
 
 def _construct(entry: CatalogEntry, catalog: Catalog,
@@ -179,25 +213,25 @@ def _construct(entry: CatalogEntry, catalog: Catalog,
     kind = entry.kind
     cap = catalog.cap
     if kind == "cyclic":
-        return cyclic_group(int(_require(entry, "order")), cap=cap)
+        return cyclic_group(_require(entry, "order"), cap=cap)
     if kind == "dihedral":
-        return dihedral_group(int(_require(entry, "order")), cap=cap)
+        return dihedral_group(_require(entry, "order"), cap=cap)
     if kind == "quaternion8":
         return quaternion_group8(cap=cap)
     if kind == "extraspecial":
-        return extraspecial_exponent_p(int(_require(entry, "p")), cap=cap)
+        return extraspecial_exponent_p(_require(entry, "p"), cap=cap)
     if kind == "table":
         return from_multiplication_table(_require(entry, "table"), cap=cap)
     if kind == "permutations":
         return from_permutation_generators(
-            int(_require(entry, "degree")), _require(entry, "generators"),
+            _require(entry, "degree"), _require(entry, "generators"),
             cap=cap)
     if kind == "wreath_cyclic":
-        return wreath_cyclic(int(_require(entry, "p")),
-                             int(_require(entry, "q")), cap=cap)
+        return wreath_cyclic(_require(entry, "p"),
+                             _require(entry, "q"), cap=cap)
     if kind == "direct_product":
         names = _require(entry, "factors")
-        if not isinstance(names, list) or len(names) < 2:
+        if len(names) < 2:
             raise CatalogParseError(
                 entry.line, "direct_product needs at least two factors")
         parts = [catalog._build(n, stack) for n in names]
@@ -207,7 +241,7 @@ def _construct(entry: CatalogEntry, catalog: Catalog,
         return out
     if kind == "semidirect":
         parts = _require(entry, "parts")
-        if not isinstance(parts, list) or len(parts) != 2:
+        if len(parts) != 2:
             raise CatalogParseError(
                 entry.line, "semidirect needs parts = [normal, acting]")
         n = catalog._build(parts[0], stack)

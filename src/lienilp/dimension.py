@@ -87,6 +87,16 @@ def _modular_gamma(g: FiniteGroup, p: int) -> tuple[Subgroup, ...]:
     return gamma
 
 
+def is_lie_nilpotent(g: FiniteGroup, p: int) -> bool:
+    """True iff the group is nilpotent with a p-group commutator
+    subgroup (abelian groups count: KG is then commutative)."""
+    try:
+        _modular_gamma(g, p)
+    except NotLieNilpotentError:
+        return False
+    return True
+
+
 def _termination_bound(gamma: tuple[Subgroup, ...]) -> int:
     derived = gamma[1] if len(gamma) > 1 else None
     if derived is None or derived.is_trivial:

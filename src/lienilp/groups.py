@@ -33,7 +33,6 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 65536
 TABLE_BACKING_LIMIT = 4096
-_EXHAUSTIVE_ASSOC_LIMIT = 512
 
 
 class FiniteGroup:
@@ -304,48 +303,40 @@ def _find_identity(table: np.ndarray) -> int:
     raise NoIdentityError()
 
 
-def _check_associative_exhaustive(table: np.ndarray) -> None:
-    n = table.shape[0]
-    flat = table.reshape(-1)
-    block = max(1, (1 << 22) // max(1, n * n))
-    for start in range(0, n, block):
-        rows = table[start:start + block]
-        left = table[rows.reshape(-1), :].reshape(rows.shape[0], n, n)
-        right = rows[:, flat].reshape(rows.shape[0], n, n)
-        if not np.array_equal(left, right):
-            a, j, k = np.argwhere(left != right)[0]
-            raise NotAssociativeError(int(start + a), int(j), int(k))
-
-
-def _closure_indices(table: np.ndarray, seed: Sequence[int]) -> np.ndarray:
-    """Close a set of indices under the (possibly non-associative) product."""
-    n = table.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[list(seed)] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        prods = np.unique(table[np.ix_(idx, idx)])
-        before = mask.sum()
-        mask[prods] = True
-        if mask.sum() == before:
-            return idx
+def _table_closure(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+    """Mask of the elements reached from the identity by right
+    multiplication with the generators, a breadth-first level at a
+    time: the left-normed products of generators."""
+    mask = np.zeros(table.shape[0], dtype=bool)
+    mask[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    gens = np.asarray(gens, dtype=np.intp)
+    while frontier.size and gens.size:
+        prods = np.unique(table[np.ix_(frontier, gens)])
+        frontier = prods[~mask[prods]]
+        mask[frontier] = True
+    return mask
 
 
 def _greedy_generators(table: np.ndarray) -> tuple[int, ...]:
-    n = table.shape[0]
+    """Add the least element not yet reached until the left-normed
+    products of the generators reach every element."""
     gens: list[int] = []
-    covered = _closure_indices(table, [0])
-    while len(covered) < n:
-        missing = np.setdiff1d(np.arange(n), covered)[0]
-        gens.append(int(missing))
-        covered = _closure_indices(table, [0] + gens)
+    covered = _table_closure(table, gens)
+    while not covered.all():
+        gens.append(int(covered.argmin()))
+        covered = _table_closure(table, gens)
     return tuple(gens)
 
 
 def _check_associative_light(table: np.ndarray,
                              gens: Sequence[int]) -> None:
-    # Light's test: with S generating the magma, a(sb) == (as)b for all
-    # s in S and all a, b implies full associativity.
+    """Light's test: (as)b == a(sb) for every generator s and all a, b.
+
+    The s passing it form a set closed under products: for s, t in it,
+    (a(st))b = ((as)t)b = (as)(tb) = a(s(tb)) = a((st)b).  So when the
+    left-normed products of the generators reach every element, as
+    ``_greedy_generators`` makes them, the test proves associativity."""
     for s in gens:
         left = table[:, table[s, :]]
         right = table[table[:, s], :]
@@ -383,12 +374,8 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP,
             labels = list(labels)
             labels[0], labels[e] = labels[e], labels[0]
 
-    if n <= _EXHAUSTIVE_ASSOC_LIMIT:
-        _check_associative_exhaustive(t)
-        gens = _greedy_generators(t)
-    else:
-        gens = _greedy_generators(t)
-        _check_associative_light(t, gens)
+    gens = _greedy_generators(t)
+    _check_associative_light(t, gens)
 
     inverses = np.full(n, -1, dtype=np.int64)
     for i in range(n):
@@ -722,17 +709,7 @@ def subgroup_generated(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     if not seeds:
         return trivial_subgroup(g)
     if g._table is not None:
-        t = g._table
-        garr = np.asarray(seeds)
-        mask = np.zeros(g.order, dtype=bool)
-        mask[0] = True
-        frontier = np.array([0])
-        while frontier.size:
-            prods = np.unique(t[np.ix_(frontier, garr)])
-            new = prods[~mask[prods]]
-            mask[new] = True
-            frontier = new
-        members = np.flatnonzero(mask).tolist()
+        members = np.flatnonzero(_table_closure(g._table, seeds)).tolist()
     else:
         members_set = {0}
         frontier = [0]

@@ -23,15 +23,20 @@ of G, by two identities of the algebra itself:
   ideal generated by [U, KG] is therefore the ideal generated by the
   brackets of a basis of U with the delta_s.
 
-Neither identity involves dimension subgroups, so the oracle borrows
-nothing from the formulas it checks.  ``GroupAlgebra`` refuses a group
-whose stored generators do not generate it.  The upper chain is kept on
-its ``GroupAlgebra``: the upper indices, the chain dimensions and the
-direct dimension subgroups all read one chain when they share an
-algebra.  The lower Lie powers are spans, not ideals, so each step
-still brackets against every g, one block per g into the builder.  On
-a 2-CPU machine the whole oracle for the order-128 D8wrC2 at p = 2
-takes about 0.3 s.
+Neither identity involves dimension subgroups or a lower central
+series, so the oracle borrows nothing from the formulas it checks, nor
+the bound t <= |G'| + 1 it tests.  No chain needs a step count to stop
+at: each term lies in the one before, so within |G| + 1 steps a chain
+reaches 0 or repeats a dimension, and a repeat above 0 (it stays there
+for ever) raises NoConvergenceError.
+
+Every chain function takes one ``GroupAlgebra``, which refuses a group
+whose stored generators do not generate it and keeps its upper chain:
+the upper indices, the chain dimensions and the direct dimension
+subgroups all read one chain.  The lower Lie powers are spans, not
+ideals, so each step still brackets against every g, one block per g
+into the builder.  On a 2-CPU machine the whole oracle for the
+order-128 D8wrC2 at p = 2 takes about 0.3 s.
 """
 
 from __future__ import annotations
@@ -42,17 +47,9 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NotGeneratingError,
-    NotLieNilpotentError,
     OracleCapExceededError,
 )
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    is_p_group,
-    lower_central_series,
-    subgroup_generated,
-    trivial_subgroup,
-)
+from .groups import FiniteGroup, Subgroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 128
 # floor(x / p) is exact in float64 for integers x below this in magnitude.
@@ -84,7 +81,9 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 class FpSubspace:
-    """A subspace of GF(p)^width held as a reduced row echelon basis."""
+    """A subspace of GF(p)^width held as a reduced row echelon basis:
+    a snapshot of the echelon builder.  Membership is tested by reducing
+    against ``_EchelonBuilder(p, width, start=subspace)``."""
 
     __slots__ = ("p", "width", "basis", "pivots")
 
@@ -120,43 +119,12 @@ class FpSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reduce(self, vec) -> np.ndarray:
-        v = np.asarray(vec)
-        if v.shape != (self.width,):
-            raise DimensionMismatchError(
-                f"vector of length {v.shape} in a space of width "
-                f"{self.width}")
-        builder = _EchelonBuilder(self.p, self.width, self)
-        out = np.zeros(self.width, dtype=_dtype(self.p))
-        out[builder.free] = builder.reduce(v)[0]
-        return out
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec).any()
-
-    def contains_all(self, mat) -> bool:
-        return not _EchelonBuilder(self.p, self.width, self).reduce(
-            np.atleast_2d(mat)).any()
-
-    def sum(self, other: "FpSubspace") -> "FpSubspace":
-        if self.p != other.p or self.width != other.width:
-            raise DimensionMismatchError("subspaces live in different spaces")
-        builder = _EchelonBuilder(self.p, self.width, self)
-        builder.absorb(other.basis)
-        return builder.snapshot()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):
             return NotImplemented
         return (self.p == other.p and self.width == other.width
                 and self.pivots == other.pivots
                 and np.array_equal(self.basis, other.basis))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.width, self.pivots))
-
-    def __repr__(self) -> str:
-        return f"FpSubspace(p={self.p}, width={self.width}, dim={self.dim})"
 
 
 class _EchelonBuilder:
@@ -341,90 +309,55 @@ class GroupAlgebra:
         return chain[m - 1]
 
 
-def _algebra(group: FiniteGroup | GroupAlgebra, p: int,
-             oracle_cap: int) -> GroupAlgebra:
-    """The given algebra itself, or a new one for a bare group."""
-    if isinstance(group, GroupAlgebra):
-        if group.p != p:
-            raise ValueError(f"algebra over GF({group.p}) used at p = {p}")
-        return group
-    return GroupAlgebra(group, p, oracle_cap=oracle_cap)
-
-
-def _default_limit(group: FiniteGroup) -> int:
-    gamma = lower_central_series(group)
-    derived = gamma[1] if len(gamma) > 1 else trivial_subgroup(group)
-    return derived.order + 2
-
-
-def upper_lie_powers(group: FiniteGroup | GroupAlgebra, p: int,
-                     limit: int | None = None, *,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP
-                     ) -> tuple[list[int], int]:
+def upper_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     """Dimension chain of the upper Lie powers and the first index where
-    the chain reaches zero.
+    the chain reaches zero, read from and kept on the algebra.
 
-    A chain that stabilises above zero (or runs past the limit) signals
-    a non-Lie-nilpotent input via NoConvergenceError.  Pass a
-    GroupAlgebra to read and extend its kept chain.
+    A chain that stabilises above zero signals a non-Lie-nilpotent
+    input via NoConvergenceError.
     """
-    algebra = _algebra(group, p, oracle_cap)
-    if limit is None:
-        limit = _default_limit(algebra.group)
     dims = [algebra.n]
-    for step in range(2, limit + 1):
-        dim = algebra.upper_power(step).dim
-        dims.append(dim)
-        if dim == 0:
-            return dims, step
-        if dim == dims[-2]:
+    while dims[-1]:
+        dims.append(algebra.upper_power(len(dims) + 1).dim)
+        if dims[-1] == dims[-2]:
             raise NoConvergenceError(
-                f"upper Lie power chain stabilises at dimension {dim}",
+                f"upper Lie power chain stabilises at dimension {dims[-1]}",
                 dims)
-    raise NoConvergenceError(
-        f"upper Lie power chain did not reach zero within {limit} steps",
-        dims)
+    return dims, len(dims)
 
 
-def lower_lie_powers(group: FiniteGroup | GroupAlgebra, p: int,
-                     limit: int | None = None, *,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP
-                     ) -> tuple[list[int], int]:
+def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     """Dimension chain of the lower Lie powers and its vanishing index.
 
     The span of left-normed brackets is advanced one weight at a time
     (basis elements suffice by multilinearity), absorbing the brackets
     with one g at a time; each reported dimension is that of the ideal
-    the span generates.
+    the span generates.  A span that stops shrinking above zero signals
+    a non-Lie-nilpotent input via NoConvergenceError.
     """
-    algebra = _algebra(group, p, oracle_cap)
-    if limit is None:
-        limit = _default_limit(algebra.group)
     span = algebra.full_space()
     dims = [span.dim]
-    for step in range(2, limit + 1):
-        builder = _EchelonBuilder(p, algebra.n)
+    while dims[-1]:
+        builder = _EchelonBuilder(algebra.p, algebra.n)
         # Blocks already in the work dtype skip the integer reduction.
         basis = span.basis.astype(builder.work)
         for g in range(1, algebra.n):
             builder.absorb(algebra._brackets(basis, (g,)))
         nxt_span = builder.snapshot()
-        ideal = algebra.ideal_closure(nxt_span)
-        dims.append(ideal.dim)
-        if ideal.dim == 0:
-            return dims, step
-        if nxt_span.dim == span.dim:
+        dims.append(algebra.ideal_closure(nxt_span).dim)
+        if dims[-1] and nxt_span.dim == span.dim:
             raise NoConvergenceError(
                 f"lower Lie power chain stabilises at dimension "
                 f"{nxt_span.dim}", dims)
         span = nxt_span
-    raise NoConvergenceError(
-        f"lower Lie power chain did not reach zero within {limit} steps",
-        dims)
+    return dims, len(dims)
 
 
-def _direct_subgroup(algebra: GroupAlgebra, m: int) -> Subgroup:
-    """Elements g with delta_g - delta_1 in the m-th upper Lie power."""
+def dimension_subgroup_direct(algebra: GroupAlgebra, m: int) -> Subgroup:
+    """The m-th dimension subgroup straight from the definition:
+    elements g with delta_g - delta_1 in the m-th upper Lie power."""
+    if m < 1:
+        raise ValueError("series index must be positive")
     deltas = np.eye(algebra.n, dtype=algebra.dtype)
     deltas[:, 0] -= 1
     term = _EchelonBuilder(algebra.p, algebra.n, algebra.upper_power(m))
@@ -432,38 +365,12 @@ def _direct_subgroup(algebra: GroupAlgebra, m: int) -> Subgroup:
     return Subgroup(algebra.group, members)
 
 
-def dimension_subgroup_direct(group: FiniteGroup | GroupAlgebra, p: int,
-                              m: int, *,
-                              oracle_cap: int = DEFAULT_ORACLE_CAP
-                              ) -> Subgroup:
-    """The m-th dimension subgroup straight from the definition:
-    elements g with delta_g - delta_1 in the m-th upper Lie power."""
-    if m < 1:
-        raise ValueError("series index must be positive")
-    return _direct_subgroup(_algebra(group, p, oracle_cap), m)
-
-
-def dimension_series_direct(group: FiniteGroup | GroupAlgebra, p: int, *,
-                            oracle_cap: int = DEFAULT_ORACLE_CAP
-                            ) -> list[Subgroup]:
+def dimension_series_direct(algebra: GroupAlgebra) -> list[Subgroup]:
     """All dimension subgroups from the definition, cut at the first
-    trivial term.  The input must be Lie nilpotent.  Given a
-    GroupAlgebra, this reads the upper chain it keeps."""
-    algebra = _algebra(group, p, oracle_cap)
-    if not is_lie_nilpotent(algebra.group, p):
-        raise NotLieNilpotentError(
-            "direct dimension series needs a Lie nilpotent input")
-    series = [_direct_subgroup(algebra, 1)]
+    trivial term.  The upper chain must reach zero (NoConvergenceError
+    otherwise); its m-th term gives the m-th subgroup."""
+    upper_lie_powers(algebra)
+    series = [dimension_subgroup_direct(algebra, 1)]
     while not series[-1].is_trivial:
-        series.append(_direct_subgroup(algebra, len(series) + 1))
+        series.append(dimension_subgroup_direct(algebra, len(series) + 1))
     return series
-
-
-def is_lie_nilpotent(group: FiniteGroup, p: int) -> bool:
-    """True iff the group is nilpotent with a p-group commutator
-    subgroup (abelian groups count: KG is then commutative)."""
-    gamma = lower_central_series(group)
-    if not gamma[-1].is_trivial:
-        return False
-    derived = gamma[1] if len(gamma) > 1 else trivial_subgroup(group)
-    return is_p_group(derived, p)

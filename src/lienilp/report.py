@@ -9,6 +9,7 @@ from .classify import classify, cross_validate, lemma2_profile, \
     theorem1_structural_case
 from .dimension import (
     d_vector,
+    is_lie_nilpotent,
     series_product,
     series_recursive,
     shalev_vanishing_report,
@@ -27,7 +28,6 @@ from .oracle import (
     DEFAULT_ORACLE_CAP,
     GroupAlgebra,
     dimension_series_direct,
-    is_lie_nilpotent,
     lower_lie_powers,
     upper_lie_powers,
 )
@@ -159,9 +159,9 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         if ln:
             algebra = GroupAlgebra(g, prime,
                                    oracle_cap=max(oracle_cap, g.order))
-            upper_dims, t_up = upper_lie_powers(algebra, prime)
-            lower_dims, t_low = lower_lie_powers(algebra, prime)
-            direct = dimension_series_direct(algebra, prime)
+            upper_dims, t_up = upper_lie_powers(algebra)
+            lower_dims, t_low = lower_lie_powers(algebra)
+            direct = dimension_series_direct(algebra)
             oracle = OracleResult(ran=True, t_upper=t_up, t_lower=t_low,
                                   upper_dims=upper_dims,
                                   lower_dims=lower_dims,

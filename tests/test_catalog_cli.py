@@ -145,6 +145,28 @@ def test_scan_oracle_without_table_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fields,key", [
+    ('"kind": "cyclic", "order": [4]', "order"),
+    ('"kind": "cyclic", "order": null', "order"),
+    ('"kind": "permutations", "degree": 3, "generators": 5', "generators"),
+    ('"kind": "direct_product", "factors": [1, 2]', "factors"),
+])
+def test_bad_field_type_exits_2(tmp_path, capsys, fields, key):
+    """A field of the wrong JSON type is a catalog error naming its
+    line: exit 2 and one error line from analyze and scan, not a
+    TypeError traceback."""
+    f = tmp_path / "bad.jsonl"
+    f.write_text('{"kind": "cyclic", "name": "C2", "order": 2}\n'
+                 f'{{"name": "X", {fields}}}\n')
+    for argv in (["analyze", "X"], ["scan"]):
+        rc = main(argv + ["--prime", "2", "--catalog", str(f)])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert err.startswith("error: catalog line 2: ") and \
+            f"'{key}' must be" in err, err
+        assert err.count("\n") == 1
+
+
 def test_analyze_json_deterministic(capsys):
     rc = main(["analyze", "C3wrC3", "--prime", "3", "--json", "--no-oracle"])
     first = capsys.readouterr().out
@@ -215,22 +237,40 @@ def test_selftest_skips_oracle_criteria(capsys):
     assert by_key["8-negative-controls"] == "pass"
 
 
-@pytest.mark.parametrize("prime", ["1", "0", "4", "6", "-2"])
-def test_non_prime_rejected(prime):
-    """A --prime that is not a prime >= 2 is a usage error of analyze and
-    scan, never a hang (p = 1) or a traceback (p = 0).  Both commands run
-    in one subprocess with a timeout, so a hang fails the test."""
+NON_PRIMES = ["1", "0", "4", "6", "-2"]
+
+
+@pytest.fixture(scope="module")
+def non_prime_runs():
+    """analyze and scan at every non-prime, all in one subprocess with a
+    timeout, so a hang fails the tests rather than the run.  Each
+    command prints one JSON line: the prime, its exit code, its stderr."""
     import subprocess
     import sys
-    script = ("import sys; from lienilp.cli import main; "
-              "print(main(['analyze', 'D8', '--prime', sys.argv[1]]), "
-              "main(['scan', '--prime', sys.argv[1]]))")
-    proc = subprocess.run([sys.executable, "-c", script, prime],
+    script = (
+        "import contextlib, io, json, sys; from lienilp.cli import main\n"
+        "for p in sys.argv[1:]:\n"
+        "    for argv in (['analyze', 'D8'], ['scan']):\n"
+        "        err = io.StringIO()\n"
+        "        with contextlib.redirect_stderr(err):\n"
+        "            rc = main(argv + ['--prime', p])\n"
+        "        print(json.dumps([p, rc, err.getvalue()]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *NON_PRIMES],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2", "2"]
-    assert proc.stderr.splitlines() == [
-        f"error: --prime must be a prime >= 2, got {prime}"] * 2
+    runs: dict = {}
+    for line in proc.stdout.splitlines():
+        p, rc, err = json.loads(line)
+        runs.setdefault(p, []).append((rc, err))
+    return runs
+
+
+@pytest.mark.parametrize("prime", NON_PRIMES)
+def test_non_prime_rejected(non_prime_runs, prime):
+    """A --prime that is not a prime >= 2 is a usage error of analyze and
+    scan, never a hang (p = 1) or a traceback (p = 0)."""
+    message = f"error: --prime must be a prime >= 2, got {prime}\n"
+    assert non_prime_runs[prime] == [(2, message)] * 2
 
 
 @pytest.mark.parametrize("prime", [1, 0, 4, 6, -2])

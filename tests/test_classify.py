@@ -19,7 +19,7 @@ from lienilp.groups import (
     is_abelian_subgroup,
     lower_central_series,
 )
-from lienilp.oracle import is_lie_nilpotent
+from lienilp.dimension import is_lie_nilpotent
 
 
 def _types(g):

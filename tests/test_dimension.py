@@ -21,7 +21,7 @@ from lienilp.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from lienilp.oracle import is_lie_nilpotent
+from lienilp.dimension import is_lie_nilpotent
 
 
 def _lie_nilpotent_pairs(catalog, primes=(2, 3, 5), max_order=None):

@@ -10,6 +10,7 @@ from lienilp import groups
 from lienilp.catalog import Catalog
 from lienilp.errors import (
     CapExceededError,
+    LieNilpError,
     NoInverseError,
     NotAbelianError,
     NotAssociativeError,
@@ -98,6 +99,25 @@ def test_not_associative_names_triple():
     i, j, k = err.value.triple
     t = np.array(table)
     assert t[t[i, j], k] != t[i, t[j, k]]
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "H27"])
+def test_every_corrupted_entry_rejected(built, name):
+    """Changing any one entry off the identity row and column of a group
+    table leaves no group.  Light's test over generators whose products
+    reach every element catches each such table, and a
+    NotAssociativeError names a triple that really fails."""
+    table = built(name).dense_table()
+    n = table.shape[0]
+    for i in range(1, n):
+        for j in range(1, n):
+            t = table.astype(np.int64)
+            t[i, j] = (t[i, j] + 1 + (i * j) % (n - 1)) % n
+            with pytest.raises(LieNilpError) as err:
+                from_multiplication_table(t)
+            if isinstance(err.value, NotAssociativeError):
+                a, b, c = err.value.triple
+                assert t[t[a, b], c] != t[a, t[b, c]], (i, j)
 
 
 def test_identity_relocated_to_zero():

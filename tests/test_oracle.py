@@ -1,5 +1,7 @@
 """Explicit group-algebra computations over GF(p)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,11 @@ from lienilp.oracle import (
     _EchelonBuilder,
     dimension_series_direct,
     dimension_subgroup_direct,
-    is_lie_nilpotent,
     lower_lie_powers,
     upper_lie_powers,
 )
 from lienilp.dimension import d_vector as series_d_vector, \
-    series_recursive, upper_index_jennings
+    is_lie_nilpotent, series_recursive, upper_index_jennings
 from lienilp.report import analyze
 
 from conftest import brute_ideal_closure, brute_lie_chains
@@ -41,6 +42,18 @@ def naive_convolution(g, p, x, y):
             out[g.multiply(u, v)] = (out[g.multiply(u, v)]
                                      + int(x[u]) * int(y[v])) % p
     return np.array(out)
+
+
+def contains_all(space, rows):
+    """Every row lies in the subspace: it reduces to zero against it."""
+    builder = _EchelonBuilder(space.p, space.width, start=space)
+    return not builder.reduce(rows).any()
+
+
+def chains(alg):
+    """The oracle's three chains on one algebra, in analyze's order."""
+    return (upper_lie_powers(alg), lower_lie_powers(alg),
+            [s.order for s in dimension_series_direct(alg)])
 
 
 # --- products and brackets ----------------------------------------------------
@@ -98,8 +111,8 @@ def test_echelonize_basics():
     z = FpSubspace.from_vectors([[0, 0, 0]], 5, 3)
     assert z.dim == 0
     span = FpSubspace.from_vectors([[1, 0, 0], [1, 1, 0]], 2)
-    assert span.contains([0, 1, 0])
-    assert not span.contains([0, 0, 1])
+    assert contains_all(span, [0, 1, 0])
+    assert not contains_all(span, [0, 0, 1])
 
 
 def test_echelonize_shape_errors():
@@ -107,16 +120,16 @@ def test_echelonize_shape_errors():
         FpSubspace.from_vectors([[1, 0]], 2, width=3)
     with pytest.raises(DimensionMismatchError):
         FpSubspace.from_vectors([], 2)
-    s = FpSubspace.from_vectors([[1, 0]], 2)
-    with pytest.raises(DimensionMismatchError):
-        s.contains([1, 0, 0])
 
 
 def test_subspace_sum():
+    """The sum of two subspaces is the span of both bases."""
     a = FpSubspace.from_vectors([[1, 0, 0]], 2)
     b = FpSubspace.from_vectors([[0, 1, 0]], 2)
-    assert a.sum(b).dim == 2
-    assert a.sum(a) == a
+    ab = FpSubspace.from_vectors(np.vstack([a.basis, b.basis]), 2)
+    assert ab.dim == 2 and ab.pivots == (0, 1)
+    assert contains_all(ab, np.vstack([a.basis, b.basis]))
+    assert FpSubspace.from_vectors(np.vstack([a.basis, a.basis]), 2) == a
 
 
 def test_rref_canonical():
@@ -152,8 +165,8 @@ def test_from_vectors_exact_at_large_prime(p):
     v = _random_rows(p, 20, 30, seed=2)
     s = FpSubspace.from_vectors(v, p)
     assert s.dim == 20
-    assert s.contains_all(v)
-    assert s.sum(s) == s
+    assert contains_all(s, v)
+    assert FpSubspace.from_vectors(np.vstack([s.basis, s.basis]), p) == s
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -163,9 +176,7 @@ def test_algebra_exact_at_large_prime(built, p):
     alg = GroupAlgebra(g, p)
     x = np.full(8, p - 1, dtype=alg.dtype)
     assert np.array_equal(alg.multiply(x, x), np.full(8, 8))
-    assert upper_lie_powers(alg, p) == ([8, 0], 2)
-    assert lower_lie_powers(alg, p) == ([8, 0], 2)
-    assert [s.order for s in dimension_series_direct(alg, p)] == [8, 1]
+    assert chains(alg) == (([8, 0], 2), ([8, 0], 2), [8, 1])
 
 
 # --- ideals ---------------------------------------------------------------------
@@ -191,33 +202,31 @@ def test_augmentation_ideal_of_c2():
 
 
 def test_upper_powers_abelian(built):
-    dims, t = upper_lie_powers(built("C4xC2"), 2)
+    dims, t = upper_lie_powers(GroupAlgebra(built("C4xC2"), 2))
     assert dims == [8, 0] and t == 2
 
 
 def test_upper_powers_golden(built):
-    assert upper_lie_powers(built("D8"), 2)[1] == 3
-    assert upper_lie_powers(built("Q8"), 2)[1] == 3
-    assert upper_lie_powers(built("D8xD8"), 2)[1] == 4
+    for name, t in (("D8", 3), ("Q8", 3), ("D8xD8", 4)):
+        assert upper_lie_powers(GroupAlgebra(built(name), 2))[1] == t
 
 
 def test_lower_powers(built):
-    assert lower_lie_powers(built("C4xC2"), 2)[1] == 2
-    assert lower_lie_powers(built("D8"), 2)[1] == 3
+    assert lower_lie_powers(GroupAlgebra(built("C4xC2"), 2))[1] == 2
+    assert lower_lie_powers(GroupAlgebra(built("D8"), 2))[1] == 3
 
 
 def test_p5_equality(built):
-    h125 = built("H125")
-    _, t_up = upper_lie_powers(h125, 5)
-    _, t_low = lower_lie_powers(h125, 5)
+    alg = GroupAlgebra(built("H125"), 5)
+    _, t_up = upper_lie_powers(alg)
+    _, t_low = lower_lie_powers(alg)
     assert t_up == t_low == 6
 
 
 def test_chains_decrease(catalog):
     for name in ("D8", "Q8", "D16", "C4xC2", "H27"):
-        g = catalog.build(name)
-        p = 3 if name == "H27" else 2
-        for dims, _ in (upper_lie_powers(g, p), lower_lie_powers(g, p)):
+        alg = GroupAlgebra(catalog.build(name), 3 if name == "H27" else 2)
+        for dims, _ in (upper_lie_powers(alg), lower_lie_powers(alg)):
             assert all(a > b for a, b in zip(dims, dims[1:])), name
             assert dims[-1] == 0
 
@@ -232,8 +241,8 @@ def test_weight_two_powers_coincide(built):
                          for a in range(g.order) for b in range(a)]
         direct = alg.ideal_closure(
             FpSubspace.from_vectors(pair_brackets or [], p, g.order))
-        up, _ = upper_lie_powers(g, p)
-        low, _ = lower_lie_powers(g, p)
+        up, _ = upper_lie_powers(alg)
+        low, _ = lower_lie_powers(alg)
         assert direct.dim == up[1] == low[1], name
 
 
@@ -248,20 +257,43 @@ def test_oracle_agrees_with_formula_index(catalog):
                 continue
             t_formula = upper_index_jennings(
                 series_d_vector(series_recursive(g, p)))
-            assert upper_lie_powers(g, p)[1] == t_formula, \
+            assert upper_lie_powers(GroupAlgebra(g, p))[1] == t_formula, \
                 f"{entry.name}@p{p}"
 
 
 def test_no_convergence_on_s3(built):
-    with pytest.raises(NoConvergenceError):
-        upper_lie_powers(built("S3"), 2)
-    with pytest.raises(NoConvergenceError):
-        lower_lie_powers(built("S3"), 3, limit=50)
+    """KS3 is not Lie nilpotent at any p: every chain stops at a repeated
+    dimension above zero, with no step limit to run into."""
+    s3 = built("S3")
+    for p in (2, 3, 5):
+        for chain in (upper_lie_powers, lower_lie_powers,
+                      dimension_series_direct):
+            with pytest.raises(NoConvergenceError) as err:
+                chain(GroupAlgebra(s3, p))
+            assert err.value.dims == [6, 4, 4], (p, chain.__name__)
+
+
+def test_oracle_reads_no_lower_central_series(monkeypatch, built,
+                                              catalog_reports):
+    """The oracle's chains on D8wrC2 at p = 2 are the same with
+    lower_central_series raising in every lienilp module: the oracle
+    does not use the series whose bound it checks."""
+    def refuse(g):
+        raise AssertionError("the oracle read a lower central series")
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "lienilp" and \
+                hasattr(mod, "lower_central_series"):
+            monkeypatch.setattr(mod, "lower_central_series", refuse)
+    oracle = catalog_reports["D8wrC2", 2].oracle
+    assert chains(GroupAlgebra(built("D8wrC2"), 2)) == (
+        (oracle.upper_dims, oracle.t_upper),
+        (oracle.lower_dims, oracle.t_lower),
+        oracle.direct_series_orders)
 
 
 def test_oracle_cap(built):
     with pytest.raises(OracleCapExceededError):
-        upper_lie_powers(built("C3wrC3"), 3, oracle_cap=64)
+        GroupAlgebra(built("C3wrC3"), 3, oracle_cap=64)
     with pytest.raises(OracleCapExceededError):
         GroupAlgebra(built("C5wrC5"), 5)
 
@@ -287,8 +319,6 @@ def test_non_generating_generators_rejected(built):
     assert subgroup_generated(d8, d8.generators[:1]).order == 4
     with pytest.raises(NotGeneratingError):
         GroupAlgebra(rotations, 2)
-    with pytest.raises(NotGeneratingError):
-        upper_lie_powers(rotations, 2)
 
 
 def test_chains_match_all_elements_reference(catalog):
@@ -330,14 +360,16 @@ def test_ideal_closure_matches_all_elements_reference(built):
 
 def test_upper_chain_shared_by_one_algebra(built):
     alg = GroupAlgebra(built("C2wrC4"), 2)
-    dims, t = upper_lie_powers(alg, 2)
+    dims, t = upper_lie_powers(alg)
     chain = list(alg._upper)
-    series = dimension_series_direct(alg, 2)
+    assert len(chain) == t and chain[-1].dim == 0
+    series = dimension_series_direct(alg)
+    assert upper_lie_powers(alg) == (dims, t)
     assert alg._upper == chain
     assert len(series) <= t
-    assert dimension_subgroup_direct(alg, 2, 2) == series[1]
+    assert dimension_subgroup_direct(alg, 2) == series[1]
     with pytest.raises(ValueError):
-        upper_lie_powers(alg, 3)
+        dimension_subgroup_direct(alg, 0)
 
 
 # --- dimension subgroups straight from the definition ------------------------------
@@ -345,10 +377,11 @@ def test_upper_chain_shared_by_one_algebra(built):
 
 def test_dimension_subgroup_direct(built):
     d8 = built("D8")
-    assert dimension_subgroup_direct(d8, 2, 1).order == 8
+    alg = GroupAlgebra(d8, 2)
+    assert dimension_subgroup_direct(alg, 1).order == 8
     derived = lower_central_series(d8)[1]
-    assert dimension_subgroup_direct(d8, 2, 2) == derived
-    assert dimension_subgroup_direct(d8, 2, 3).is_trivial
+    assert dimension_subgroup_direct(alg, 2) == derived
+    assert dimension_subgroup_direct(alg, 3).is_trivial
 
 
 def test_direct_series_matches_formula(catalog):
@@ -361,7 +394,7 @@ def test_direct_series_matches_formula(catalog):
         for p in (2, 3, 5):
             if not is_lie_nilpotent(g, p):
                 continue
-            direct = dimension_series_direct(g, p)
+            direct = dimension_series_direct(GroupAlgebra(g, p))
             formula = series_recursive(g, p)
             assert tuple(direct) == formula.terms, f"{entry.name}@p{p}"
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lienilp.catalog import Catalog
-from lienilp.dimension import d_vector, series_recursive, verify_sum_rule
+from lienilp.dimension import d_vector, is_lie_nilpotent, series_recursive, \
+    verify_sum_rule
 from lienilp.groups import from_multiplication_table
-from lienilp.oracle import FpSubspace, is_lie_nilpotent
+from lienilp.oracle import FpSubspace, _EchelonBuilder
 from lienilp.report import analyze
 
 _CATALOG = Catalog.load()
@@ -55,6 +56,11 @@ def test_sum_rule_everywhere(name, p):
 # --- GF(p) subspaces ---------------------------------------------------------
 
 
+def _contains_all(space, rows) -> bool:
+    builder = _EchelonBuilder(space.p, space.width, start=space)
+    return not builder.reduce(rows).any()
+
+
 def _matrices(p):
     return st.lists(
         st.lists(st.integers(0, p - 1), min_size=4, max_size=4),
@@ -68,14 +74,13 @@ def test_echelon_idempotent_and_membership(p, data):
     s = FpSubspace.from_vectors(rows, p)
     again = FpSubspace.from_vectors(s.basis, p, width=4) if s.dim else s
     assert again == s
-    for row in rows:
-        assert s.contains(row)
+    assert _contains_all(s, rows)
     coeffs = data.draw(st.lists(st.integers(0, p - 1),
                                 min_size=len(rows), max_size=len(rows)))
     combo = np.zeros(4, dtype=np.int64)
     for c, row in zip(coeffs, rows):
         combo = (combo + c * np.array(row)) % p
-    assert s.contains(combo)
+    assert _contains_all(s, combo)
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,11 +88,11 @@ def test_echelon_idempotent_and_membership(p, data):
 def test_subspace_sum_laws(p, data):
     a = FpSubspace.from_vectors(data.draw(_matrices(p)), p)
     b = FpSubspace.from_vectors(data.draw(_matrices(p)), p)
-    ab = a.sum(b)
-    assert ab == b.sum(a)
+    ab = FpSubspace.from_vectors(np.vstack([a.basis, b.basis]), p, 4)
+    assert ab == FpSubspace.from_vectors(np.vstack([b.basis, a.basis]), p, 4)
     assert max(a.dim, b.dim) <= ab.dim <= min(4, a.dim + b.dim)
-    assert ab.contains_all(a.basis)
-    assert ab.contains_all(b.basis)
+    assert _contains_all(ab, a.basis)
+    assert _contains_all(ab, b.basis)
 
 
 @settings(max_examples=30, deadline=None)
