@@ -326,30 +326,46 @@ def upper_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     return dims, len(dims)
 
 
-def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
-    """Dimension chain of the lower Lie powers and its vanishing index.
+def _lower_spans(algebra: GroupAlgebra):
+    """The lower Lie powers as spans, KG first and then one per weight,
+    until a span is 0 or repeats the dimension of the one before.
 
-    The span of left-normed brackets is advanced one weight at a time
-    (basis elements suffice by multilinearity), absorbing the brackets
-    with one g at a time; each reported dimension is that of the ideal
-    the span generates.  A span that stops shrinking above zero signals
-    a non-Lie-nilpotent input via NoConvergenceError.
-    """
+    Each step spans the brackets of a basis of the previous span with
+    every g (basis elements suffice by multilinearity), absorbed one g
+    at a time.  Spans are nested, so their dimensions fall until one of
+    these happens."""
     span = algebra.full_space()
-    dims = [span.dim]
-    while dims[-1]:
+    yield span
+    while span.dim:
         builder = _EchelonBuilder(algebra.p, algebra.n)
         # Blocks already in the work dtype skip the integer reduction.
         basis = span.basis.astype(builder.work)
         for g in range(1, algebra.n):
             builder.absorb(algebra._brackets(basis, (g,)))
-        nxt_span = builder.snapshot()
-        dims.append(algebra.ideal_closure(nxt_span).dim)
-        if dims[-1] and nxt_span.dim == span.dim:
+        nxt = builder.snapshot()
+        yield nxt
+        if nxt.dim == span.dim:
+            return
+        span = nxt
+
+
+def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
+    """Dimension chain of the lower Lie powers and its vanishing index.
+
+    Each reported dimension is that of the ideal the lower Lie power
+    spans.  A span that stops shrinking above zero signals a
+    non-Lie-nilpotent input via NoConvergenceError.
+    """
+    spans = _lower_spans(algebra)
+    prev = next(spans)
+    dims = [prev.dim]
+    for span in spans:
+        dims.append(algebra.ideal_closure(span).dim)
+        if span.dim and span.dim == prev.dim:
             raise NoConvergenceError(
                 f"lower Lie power chain stabilises at dimension "
-                f"{nxt_span.dim}", dims)
-        span = nxt_span
+                f"{span.dim}", dims)
+        prev = span
     return dims, len(dims)
 
 

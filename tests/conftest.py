@@ -160,9 +160,22 @@ def brute_brackets(g: FiniteGroup, p: int, basis) -> np.ndarray:
                         for h in range(g.order)])
 
 
+def brute_lower_spans(g: FiniteGroup, p: int,
+                      max_steps: int = 64) -> list[np.ndarray]:
+    """Bases of the lower Lie powers of a Lie nilpotent KG as spans:
+    KG, then the span of every [b, delta_h] for b in the one before,
+    down to 0."""
+    spans = [np.eye(g.order, dtype=np.int64)]
+    while spans[-1].shape[0] and len(spans) <= max_steps:
+        spans.append(brute_rref(brute_brackets(g, p, spans[-1]), p,
+                                g.order))
+    return spans
+
+
 def brute_lie_chains(g: FiniteGroup, p: int, max_steps: int = 64):
-    """Upper dims, lower dims and direct dimension subgroup orders of a
-    Lie nilpotent KG, each straight from its all-elements definition."""
+    """Upper dims, lower (ideal) dims, direct dimension subgroup orders
+    and lower span dims of a Lie nilpotent KG, each straight from its
+    all-elements definition."""
     n = g.order
     full = np.eye(n, dtype=np.int64)
     upper = [full]
@@ -177,11 +190,11 @@ def brute_lie_chains(g: FiniteGroup, p: int, max_steps: int = 64):
         direct.append(members)
         if members == 1:
             break
-    lower, span = [n], full
-    while lower[-1] and len(lower) <= max_steps:
-        span = brute_rref(brute_brackets(g, p, span), p, n)
-        lower.append(brute_ideal_closure(g, p, span).shape[0])
-    return [t.shape[0] for t in upper], lower, direct
+    spans = brute_lower_spans(g, p, max_steps)
+    lower = [n] + [brute_ideal_closure(g, p, span).shape[0]
+                   for span in spans[1:]]
+    return ([t.shape[0] for t in upper], lower, direct,
+            [span.shape[0] for span in spans])
 
 
 @pytest.fixture(scope="session")
