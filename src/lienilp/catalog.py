@@ -190,8 +190,9 @@ _FIELDS = {
     "generators": ("a list of integer lists", _is_rows),
     "factors": ("a list of entry names", _is_names),
     "parts": ("a list of entry names", _is_names),
-    "action": ("an object of integer lists",
-               lambda v: isinstance(v, dict) and _is_rows(list(v.values()))),
+    "action": ("an object from element indices to integer lists",
+               lambda v: isinstance(v, dict) and _is_rows(list(v.values()))
+               and all(k.isdecimal() for k in v)),
 }
 
 
@@ -246,6 +247,11 @@ def _construct(entry: CatalogEntry, catalog: Catalog,
                 entry.line, "semidirect needs parts = [normal, acting]")
         n = catalog._build(parts[0], stack)
         h = catalog._build(parts[1], stack)
-        acts = _expand_action(h, n.order, _require(entry, "action"))
+        action = _require(entry, "action")
+        if any(int(k) >= h.order for k in action):
+            raise CatalogParseError(
+                entry.line, f"semidirect entry {entry.name!r}: 'action' must "
+                            f"be keyed by element indices below {h.order}")
+        acts = _expand_action(h, n.order, action)
         return semidirect_product(n, h, acts, cap=cap)
     raise UnknownConstructionError(f"unknown construction kind {kind!r}")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 build/usage error (including a --prime that
 is not a prime, and a group the analysis cannot handle, such as the
-oracle forced onto a group with no dense table), 3 internal consistency
+oracle forced onto a group with no dense table or of order above
+1024), 3 internal consistency
 failure (a cross-check mismatch or a failed acceptance criterion).
 """
 
@@ -17,7 +18,7 @@ from .catalog import Catalog
 from .classify import corollary_sharpness
 from .errors import LieNilpError, NoWitnessFoundError
 from .groups import is_prime
-from .oracle import DEFAULT_ORACLE_CAP
+from .oracle import DEFAULT_ORACLE_CAP, ORACLE_ORDER_LIMIT
 from .report import LieReport, analyze, render_text
 
 EXIT_OK = 0
@@ -37,7 +38,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="emit machine-readable JSON")
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--oracle", action="store_true",
-                      help="force the oracle regardless of the cap")
+                      help="force the oracle regardless of the cap, "
+                           f"up to order {ORACLE_ORDER_LIMIT}")
     mode.add_argument("--no-oracle", action="store_true",
                       help="never run the oracle")
 

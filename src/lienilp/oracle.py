@@ -23,20 +23,32 @@ of G, by two identities of the algebra itself:
   ideal generated by [U, KG] is therefore the ideal generated by the
   brackets of a basis of U with the delta_s.
 
-Neither identity involves dimension subgroups or a lower central
-series, so the oracle borrows nothing from the formulas it checks, nor
-the bound t <= |G'| + 1 it tests.  No chain needs a step count to stop
+The lower Lie powers L_1 = KG, L_{k+1} = [L_k, KG] are spans, not
+ideals, so neither identity applies to them.  They run over one
+element per conjugacy class instead:
+
+* Conjugation by delta_h is an automorphism of KG, so it maps every L_k
+  onto itself, and [x, delta_{hgh^-1}] = delta_h [delta_h^-1 x delta_h,
+  delta_g] delta_h^-1.  So [L_k, delta_g] over the class of g is the
+  conjugation closure of [L_k, delta_g] for that one g, and L_{k+1} is
+  the conjugation closure of the brackets of a basis of L_k with one
+  representative of each non-central class (central g give 0).  As for
+  ideals, closing under conjugation by every delta_s is enough.
+
+None of these involves dimension subgroups or a lower central series,
+so the oracle borrows nothing from the formulas it checks, nor the
+bound t <= |G'| + 1 it tests.  No chain needs a step count to stop
 at: each term lies in the one before, so within |G| + 1 steps a chain
 reaches 0 or repeats a dimension, and a repeat above 0 (it stays there
 for ever) raises NoConvergenceError.
 
 Every chain function takes one ``GroupAlgebra``, which refuses a group
-whose stored generators do not generate it and keeps its upper chain:
+above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
+and keeps its upper chain:
 the upper indices, the chain dimensions and the direct dimension
-subgroups all read one chain.  The lower Lie powers are spans, not
-ideals, so each step still brackets against every g, one block per g
-into the builder.  On a 2-CPU machine the whole oracle for the
-order-128 D8wrC2 at p = 2 takes about 0.3 s.
+subgroups all read one chain.  On a 2-CPU machine the whole oracle for
+the order-128 D8wrC2 at p = 2 takes about 0.2 s, and for an order-512
+group about 6 s.
 """
 
 from __future__ import annotations
@@ -51,7 +63,12 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup, subgroup_generated
 
-DEFAULT_ORACLE_CAP = 128
+DEFAULT_ORACLE_CAP = 256
+# No algebra is built above this order, whatever the cap, so a forced
+# run fails at once: at order 512 the chains take about 6 s and 140 MB
+# on a 2-CPU machine, each doubling of |G| multiplies the time by 5.5 to 10, and a kept
+# upper term is |G|^2 int64 (134 MB at order 4096).
+ORACLE_ORDER_LIMIT = 1024
 # floor(x / p) is exact in float64 for integers x below this in magnitude.
 _FLOAT_EXACT = 2 ** 52
 
@@ -220,7 +237,14 @@ class GroupAlgebra:
             raise OracleCapExceededError(
                 f"group order {group.order} exceeds the oracle cap "
                 f"{oracle_cap}")
+        # Fetching the stored table allocates nothing; a group without
+        # one fails here (CapExceededError).
         self._table = group.dense_table()
+        if group.order > ORACLE_ORDER_LIMIT:
+            raise OracleCapExceededError(
+                f"group order {group.order} is above "
+                f"{ORACLE_ORDER_LIMIT}, the largest order the oracle "
+                f"runs on")
         generated = subgroup_generated(group, group.generators).order
         if generated != group.order:
             raise NotGeneratingError(
@@ -285,8 +309,8 @@ class GroupAlgebra:
     def ideal_closure(self, span: FpSubspace) -> FpSubspace:
         """Least subspace containing the span and closed under left and
         right multiplication by the generators, hence by all of G."""
-        builder = _EchelonBuilder(self.p, self.n)
-        fresh = builder.absorb(span.basis)
+        builder = _EchelonBuilder(self.p, self.n, start=span)
+        fresh = builder.rows
         while fresh.shape[0] and self._gens:
             fresh = builder.absorb(np.vstack(
                 [fresh[:, perm] for s in self._gens
@@ -330,18 +354,30 @@ def _lower_spans(algebra: GroupAlgebra):
     """The lower Lie powers as spans, KG first and then one per weight,
     until a span is 0 or repeats the dimension of the one before.
 
-    Each step spans the brackets of a basis of the previous span with
-    every g (basis elements suffice by multilinearity), absorbed one g
-    at a time.  Spans are nested, so their dimensions fall until one of
-    these happens."""
+    Each step brackets a basis of the previous span with one
+    representative of each non-central conjugacy class (basis elements
+    suffice by multilinearity), one block per class into the builder,
+    and closes the result under conjugation by the generators.  Spans
+    are nested, so their dimensions fall until one of these happens."""
+    table, inv = algebra._table, algebra._inv
+    n = algebra.n
+    conj = table[table, inv[:, None]]      # conj[h, g] = h g h^-1
+    reps = np.flatnonzero((conj.min(axis=0) == np.arange(n))
+                          & (conj != np.arange(n)).any(axis=0))
+    # x[:, conj[s]] is x conjugated by delta_s^-1; the s^-1 generate G.
+    perms = [conj[s] for s in algebra._gens]
     span = algebra.full_space()
     yield span
     while span.dim:
-        builder = _EchelonBuilder(algebra.p, algebra.n)
+        builder = _EchelonBuilder(algebra.p, n)
         # Blocks already in the work dtype skip the integer reduction.
         basis = span.basis.astype(builder.work)
-        for g in range(1, algebra.n):
+        for g in reps:
             builder.absorb(algebra._brackets(basis, (g,)))
+        fresh = builder.rows
+        while fresh.shape[0]:
+            fresh = builder.absorb(
+                np.vstack([fresh[:, perm] for perm in perms]))
         nxt = builder.snapshot()
         yield nxt
         if nxt.dim == span.dim:

@@ -212,6 +212,6 @@ def built(catalog):
 @pytest.fixture(scope="session")
 def catalog_reports(catalog):
     """Every shipped entry analysed at p = 2, 3, 5 with the CLI defaults
-    (oracle up to order 128), keyed by (name, p); the acceptance
+    (oracle up to order 256), keyed by (name, p); the acceptance
     criteria read the same reports."""
     return analyze_catalog(catalog, DEFAULT_ORACLE_CAP)

@@ -145,11 +145,42 @@ def test_scan_oracle_without_table_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_oracle_refused_above_order_limit(tmp_path):
+    """A forced oracle on the order-2048 C2wrC8, a table-backed group
+    above ORACLE_ORDER_LIMIT, is refused before any chain runs: exit 2
+    and one error line from analyze and scan.  Run in a subprocess with
+    a timeout, since an oracle that ran would take hours."""
+    import subprocess
+    import sys
+    f = tmp_path / "big.jsonl"
+    f.write_text('{"kind": "wreath_cyclic", "name": "C2wrC8", "p": 2, '
+                 '"q": 8}\n')
+    script = (
+        "import contextlib, io, json, sys; from lienilp.cli import main\n"
+        "for argv in (['analyze', 'C2wrC8'], ['scan']):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        rc = main(argv + ['--prime', '2', '--oracle',\n"
+        "                          '--catalog', sys.argv[1]])\n"
+        "    print(json.dumps([rc, err.getvalue()]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(f)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    message = ("error: C2wrC8: group order 2048 is above 1024, the "
+               "largest order the oracle runs on\n")
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == \
+        [[2, message]] * 2
+
+
 @pytest.mark.parametrize("fields,key", [
     ('"kind": "cyclic", "order": [4]', "order"),
     ('"kind": "cyclic", "order": null', "order"),
     ('"kind": "permutations", "degree": 3, "generators": 5', "generators"),
     ('"kind": "direct_product", "factors": [1, 2]', "factors"),
+    ('"kind": "semidirect", "parts": ["C2", "C2"], "action": {"x": [0, 1]}',
+     "action"),
+    ('"kind": "semidirect", "parts": ["C2", "C2"], "action": {"2": [0, 1]}',
+     "action"),
 ])
 def test_bad_field_type_exits_2(tmp_path, capsys, fields, key):
     """A field of the wrong JSON type is a catalog error naming its
