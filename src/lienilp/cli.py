@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 build/usage error (including a --prime that
 is not a prime, and a group the analysis cannot handle, such as the
 oracle forced onto a group with no dense table or of order above
-1024), 3 internal consistency
-failure (a cross-check mismatch or a failed acceptance criterion).
+1024), 3 internal consistency failure (a cross-check mismatch or a
+failed acceptance criterion).
 """
 
 from __future__ import annotations

@@ -44,11 +44,10 @@ for ever) raises NoConvergenceError.
 
 Every chain function takes one ``GroupAlgebra``, which refuses a group
 above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
-and keeps its upper chain:
-the upper indices, the chain dimensions and the direct dimension
-subgroups all read one chain.  On a 2-CPU machine the whole oracle for
-the order-128 D8wrC2 at p = 2 takes about 0.2 s, and for an order-512
-group about 6 s.
+and keeps its upper chain: the upper indices, the chain dimensions and
+the direct dimension subgroups all read one chain.  On a 2-CPU machine
+the whole oracle for the order-128 D8wrC2 at p = 2 takes about 0.2 s,
+and for an order-512 group about 6 s.
 """
 
 from __future__ import annotations
@@ -65,9 +64,9 @@ from .groups import FiniteGroup, Subgroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 256
 # No algebra is built above this order, whatever the cap, so a forced
-# run fails at once: at order 512 the chains take about 6 s and 140 MB
-# on a 2-CPU machine, each doubling of |G| multiplies the time by 5.5 to 10, and a kept
-# upper term is |G|^2 int64 (134 MB at order 4096).
+# run fails at once.  On a 2-CPU machine the chains take about 6 s and
+# 140 MB at order 512, each doubling of |G| multiplies the time by 5.5
+# to 10, and a kept upper term is |G|^2 int64 (134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
 # floor(x / p) is exact in float64 for integers x below this in magnitude.
 _FLOAT_EXACT = 2 ** 52

@@ -350,14 +350,14 @@ def test_chains_match_all_elements_reference(catalog):
 def test_lower_spans_match_all_elements_reference(catalog):
     """The lower Lie powers themselves, not only the ideals they
     generate, equal the spans of brackets against every delta_g, on
-    every Lie nilpotent catalog group of order <= 64.  Ideal dims and
-    the vanishing index hide a wrong span at some weight; order 64
-    reaches the groups (D16, D32, D8xD8, C2wrC4) where a span built
-    from too few bracket blocks first shows."""
+    every Lie nilpotent catalog group of order <= 81.  Ideal dims and
+    the vanishing index hide a wrong span at some weight; order 81
+    reaches the groups (D16, D32, D8xD8, C2wrC4, C3wrC3) where a span
+    built from too few bracket blocks first shows."""
     checked = 0
     for entry in catalog.entries:
         g = catalog.build(entry.name)
-        if g.order > 64:
+        if g.order > 81:
             continue
         for p in (2, 3, 5):
             if not is_lie_nilpotent(g, p):
@@ -366,7 +366,7 @@ def test_lower_spans_match_all_elements_reference(catalog):
             brute = [s.shape[0] for s in brute_lower_spans(g, p)]
             assert oracle == brute, f"{entry.name}@p{p}"
             checked += 1
-    assert checked == 41
+    assert checked == 42
 
 
 def test_ideal_closure_matches_all_elements_reference(built):
