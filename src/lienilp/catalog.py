@@ -34,7 +34,6 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     cyclic_group,
     dihedral_group,
@@ -91,14 +90,6 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
     return entries
 
 
-def shipped_catalog_path() -> Path:
-    return Path(resources.files("lienilp").joinpath("data/catalog.jsonl"))
-
-
-def load_shipped_catalog() -> list[CatalogEntry]:
-    return load_catalog(shipped_catalog_path())
-
-
 def _expand_action(h: FiniteGroup, n_order: int, given: dict) -> dict:
     """Complete a generator-indexed action to all of h by composition."""
     acts: dict[int, np.ndarray] = {0: np.arange(n_order, dtype=np.int64)}
@@ -136,19 +127,16 @@ def _expand_action(h: FiniteGroup, n_order: int, given: dict) -> dict:
 class Catalog:
     """Entries indexed by name, with memoised recursive building."""
 
-    def __init__(self, entries: list[CatalogEntry], *,
-                 cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, entries: list[CatalogEntry]):
         self.entries = list(entries)
         self.by_name = {e.name: e for e in self.entries}
-        self.cap = cap
         self._built: dict[str, FiniteGroup] = {}
 
     @classmethod
-    def load(cls, path: str | Path | None = None, *,
-             cap: int = DEFAULT_ORDER_CAP) -> "Catalog":
-        entries = (load_catalog(path) if path is not None
-                   else load_shipped_catalog())
-        return cls(entries, cap=cap)
+    def load(cls, path: str | Path | None = None) -> "Catalog":
+        if path is None:
+            path = resources.files("lienilp").joinpath("data/catalog.jsonl")
+        return cls(load_catalog(path))
 
     def build(self, name: str) -> FiniteGroup:
         return self._build(name, ())
@@ -212,24 +200,22 @@ def _require(entry: CatalogEntry, key: str):
 def _construct(entry: CatalogEntry, catalog: Catalog,
                stack: tuple[str, ...]) -> FiniteGroup:
     kind = entry.kind
-    cap = catalog.cap
     if kind == "cyclic":
-        return cyclic_group(_require(entry, "order"), cap=cap)
+        return cyclic_group(_require(entry, "order"))
     if kind == "dihedral":
-        return dihedral_group(_require(entry, "order"), cap=cap)
+        return dihedral_group(_require(entry, "order"))
     if kind == "quaternion8":
-        return quaternion_group8(cap=cap)
+        return quaternion_group8()
     if kind == "extraspecial":
-        return extraspecial_exponent_p(_require(entry, "p"), cap=cap)
+        return extraspecial_exponent_p(_require(entry, "p"))
     if kind == "table":
-        return from_multiplication_table(_require(entry, "table"), cap=cap)
+        return from_multiplication_table(_require(entry, "table"))
     if kind == "permutations":
         return from_permutation_generators(
-            _require(entry, "degree"), _require(entry, "generators"),
-            cap=cap)
+            _require(entry, "degree"), _require(entry, "generators"))
     if kind == "wreath_cyclic":
         return wreath_cyclic(_require(entry, "p"),
-                             _require(entry, "q"), cap=cap)
+                             _require(entry, "q"))
     if kind == "direct_product":
         names = _require(entry, "factors")
         if len(names) < 2:
@@ -238,7 +224,7 @@ def _construct(entry: CatalogEntry, catalog: Catalog,
         parts = [catalog._build(n, stack) for n in names]
         out = parts[0]
         for nxt in parts[1:]:
-            out = direct_product(out, nxt, cap=cap)
+            out = direct_product(out, nxt)
         return out
     if kind == "semidirect":
         parts = _require(entry, "parts")
@@ -253,5 +239,5 @@ def _construct(entry: CatalogEntry, catalog: Catalog,
                 entry.line, f"semidirect entry {entry.name!r}: 'action' must "
                             f"be keyed by element indices below {h.order}")
         acts = _expand_action(h, n.order, action)
-        return semidirect_product(n, h, acts, cap=cap)
+        return semidirect_product(n, h, acts)
     raise UnknownConstructionError(f"unknown construction kind {kind!r}")

@@ -39,7 +39,6 @@ class DimensionSeries:
     trivial term."""
 
     prime: int
-    route: str
     terms: tuple[Subgroup, ...]
 
     def orders(self) -> tuple[int, ...]:
@@ -110,7 +109,7 @@ def series_recursive(g: FiniteGroup, p: int) -> DimensionSeries:
     gamma = _modular_gamma(g, p)
     top = full_subgroup(g)
     if g.order == 1:
-        return DimensionSeries(p, "recursive", (top,))
+        return DimensionSeries(p, (top,))
     derived = gamma[1] if len(gamma) > 1 else trivial_subgroup(g)
     terms = [top, derived]
     bound = _termination_bound(gamma)
@@ -129,7 +128,7 @@ def series_recursive(g: FiniteGroup, p: int) -> DimensionSeries:
             pow_memo[dk.members] = power_subgroup(dk, p)
         terms.append(product_of_subgroups(comm_memo[dm.members],
                                           pow_memo[dk.members]))
-    return DimensionSeries(p, "recursive", tuple(terms))
+    return DimensionSeries(p, tuple(terms))
 
 
 def series_product(g: FiniteGroup, p: int) -> DimensionSeries:
@@ -139,7 +138,7 @@ def series_product(g: FiniteGroup, p: int) -> DimensionSeries:
     gamma = _modular_gamma(g, p)
     top = full_subgroup(g)
     if g.order == 1:
-        return DimensionSeries(p, "product", (top,))
+        return DimensionSeries(p, (top,))
 
     # Precompute the finitely many nontrivial powered terms.
     powered: list[tuple[int, int, Subgroup]] = []  # (j, p^i, gamma_j^(p^i))
@@ -158,15 +157,11 @@ def series_product(g: FiniteGroup, p: int) -> DimensionSeries:
     m = 1
     while True:
         factors = [sub for (j, q, sub) in powered if (j - 1) * q >= m]
-        if factors:
-            term = factors[0]
-            for f in factors[1:]:
-                term = product_of_subgroups(term, f)
-        else:
-            term = trivial_subgroup(g)
+        term = (product_of_subgroups(*factors) if factors
+                else trivial_subgroup(g))
         terms.append(term)
         if term.is_trivial:
-            return DimensionSeries(p, "product", tuple(terms))
+            return DimensionSeries(p, tuple(terms))
         m += 1
         if m > bound:
             raise SeriesNotTerminatingError(
@@ -216,10 +211,6 @@ def verify_sum_rule(d: DVector) -> bool:
     return sum(d.entries.values()) == d.n
 
 
-def _is_power_of(m: int, p: int) -> bool:
-    return _p_log(m, p) is not None
-
-
 def shalev_vanishing_report(series: DimensionSeries,
                             d: DVector) -> list[dict]:
     """Check the forced-vanishing rules on every gap of the series.
@@ -236,7 +227,7 @@ def shalev_vanishing_report(series: DimensionSeries,
         m = k - 1
         if d.entries.get(k, 0) != 0:
             continue
-        power_rule = _is_power_of(m, p)
+        power_rule = _p_log(m, p) is not None
         divisor_rule = d.l >= 1 and m % (p ** (d.l - 1)) == 0
         if not (power_rule or divisor_rule):
             continue

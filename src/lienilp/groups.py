@@ -43,16 +43,15 @@ class FiniteGroup:
     ``cyclic_group``, ...) which validate their input.
     """
 
-    __slots__ = ("order", "generators", "labels", "degree",
+    __slots__ = ("order", "generators",
                  "_table", "_perms", "_perm_index", "_factors", "_inverses")
 
     def __init__(self, *, table=None, perms=None, factors=None,
-                 generators=(), labels=None, inverses=None):
+                 generators=(), inverses=None):
         self._table = None
         self._perms = None
         self._perm_index = None
         self._factors = None
-        self.degree = None
         if table is not None:
             self._table = np.ascontiguousarray(table, dtype=np.int32)
             self.order = int(self._table.shape[0])
@@ -67,11 +66,9 @@ class FiniteGroup:
         else:
             self._perms = tuple(tuple(p) for p in perms)
             self.order = len(self._perms)
-            self.degree = len(self._perms[0]) if self._perms else 0
             self._perm_index = {p: i for i, p in enumerate(self._perms)}
         self._inverses = np.asarray(inverses, dtype=np.int32)
         self.generators = tuple(int(x) for x in generators)
-        self.labels = tuple(labels) if labels is not None else None
 
     @property
     def backing(self) -> str:
@@ -120,11 +117,6 @@ class FiniteGroup:
                 f"no dense multiplication table for a {self.backing}-backed "
                 f"group of order {self.order}")
         return self._table
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, backing={self.backing!r})"
@@ -208,14 +200,6 @@ class AbelianType:
     @property
     def is_cyclic(self) -> bool:
         return len(self.factors) <= 1
-
-    def is_elementary(self, p: int) -> bool:
-        return all(f == p for f in self.factors)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " x ".join(f"C{f}" for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -345,8 +329,7 @@ def _check_associative_light(table: np.ndarray,
             raise NotAssociativeError(int(a), int(s), int(b))
 
 
-def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP,
-                              labels: Sequence[str] | None = None
+def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP
                               ) -> FiniteGroup:
     """Validate a square multiplication table and wrap it as a group.
 
@@ -364,15 +347,15 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP,
         raise CapExceededError(f"table order {n} exceeds cap {cap}")
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must lie in [0, order)")
+    # In range, so int32 holds every entry: each step below, and the
+    # group, work on this one copy.
+    t = t.astype(np.int32)
 
     e = _find_identity(t)
     if e != 0:
-        perm = np.arange(n)
+        perm = np.arange(n, dtype=np.int32)
         perm[0], perm[e] = e, 0
         t = perm[t[np.ix_(perm, perm)]]
-        if labels is not None:
-            labels = list(labels)
-            labels[0], labels[e] = labels[e], labels[0]
 
     gens = _greedy_generators(t)
     _check_associative_light(t, gens)
@@ -385,8 +368,7 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP,
             raise NoInverseError(i)
         inverses[i] = ok[0]
 
-    return FiniteGroup(table=t, generators=gens, labels=labels,
-                       inverses=inverses)
+    return FiniteGroup(table=t, generators=gens, inverses=inverses)
 
 
 # --------------------------------------------------------------------------
@@ -476,12 +458,6 @@ def from_permutation_generators(degree: int, generators, *,
 # --------------------------------------------------------------------------
 
 
-def _pair_labels(a: FiniteGroup, b: FiniteGroup) -> list[str] | None:
-    if a.labels is None or b.labels is None:
-        return None
-    return [f"({la},{lb})" for la in a.labels for lb in b.labels]
-
-
 def direct_product(a: FiniteGroup, b: FiniteGroup, *,
                    cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Componentwise product on pairs; index (i, j) -> i * |b| + j.
@@ -493,14 +469,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *,
         raise CapExceededError(f"product order {order} exceeds cap {cap}")
     nb = b.order
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
-    labels = _pair_labels(a, b)
     if order > TABLE_BACKING_LIMIT:
-        return FiniteGroup(factors=(a, b), generators=gens, labels=labels)
+        return FiniteGroup(factors=(a, b), generators=gens)
     # int32 throughout: entries stay below order <= TABLE_BACKING_LIMIT.
     t = (a.dense_table()[:, None, :, None] * np.int32(nb)
          + b.dense_table()[None, :, None, :])
-    return FiniteGroup(table=t.reshape(order, order), generators=gens,
-                       labels=labels)
+    return FiniteGroup(table=t.reshape(order, order), generators=gens)
 
 
 def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
@@ -592,14 +566,6 @@ def wreath_cyclic(p: int, q: int, *, cap: int = DEFAULT_ORDER_CAP
 # --------------------------------------------------------------------------
 
 
-def _pow_label(sym: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return sym
-    return f"{sym}^{k}"
-
-
 def cyclic_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if order < 1:
         raise ValueError("order must be positive")
@@ -607,9 +573,8 @@ def cyclic_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise CapExceededError(f"order {order} exceeds cap {cap}")
     i = np.arange(order)
     table = (i[:, None] + i[None, :]) % order
-    labels = ["1"] + [_pow_label("g", k) for k in range(1, order)]
     gens = (1,) if order > 1 else ()
-    return FiniteGroup(table=table, generators=gens, labels=labels)
+    return FiniteGroup(table=table, generators=gens)
 
 
 def dihedral_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -625,11 +590,8 @@ def dihedral_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     f1, f2 = f[:, None], f[None, :]
     rot = np.where(f1 == 0, r1 + r2, r1 - r2) % m
     table = rot + m * (f1 ^ f2)
-    labels = [("1" if not (rr or ff) else
-               _pow_label("a", rr) + ("b" if ff else ""))
-              for ff in (0, 1) for rr in range(m)]
     gens = (1, m) if m > 1 else (m,)
-    return FiniteGroup(table=table, generators=gens, labels=labels)
+    return FiniteGroup(table=table, generators=gens)
 
 
 def quaternion_group8(*, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -642,8 +604,7 @@ def quaternion_group8(*, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     f1, f2 = f[:, None], f[None, :]
     rot = (np.where(f1 == 0, r1 + r2, r1 - r2) + 2 * (f1 & f2)) % 4
     table = rot + 4 * (f1 ^ f2)
-    labels = ["1", "a", "a^2", "a^3", "b", "ab", "a^2b", "a^3b"]
-    return FiniteGroup(table=table, generators=(1, 4), labels=labels)
+    return FiniteGroup(table=table, generators=(1, 4))
 
 
 def extraspecial_exponent_p(p: int, *, cap: int = DEFAULT_ORDER_CAP
@@ -665,10 +626,6 @@ def extraspecial_exponent_p(p: int, *, cap: int = DEFAULT_ORDER_CAP
              + ((b1 + b2) % p) * p
              + (c1 + c2 + a1 * b2) % p)
     return FiniteGroup(table=table, generators=(p * p, p))
-
-
-def trivial_group() -> FiniteGroup:
-    return FiniteGroup(table=[[0]], generators=(), labels=["1"])
 
 
 # --------------------------------------------------------------------------
@@ -797,8 +754,7 @@ def center(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, members, closed=True)
 
 
-def quotient(g: FiniteGroup, n: Subgroup, *,
-             cap: int = DEFAULT_ORDER_CAP) -> Quotient:
+def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
     """Coset group of g by a normal subgroup, with minimal-index coset
     representatives and the element -> coset projection."""
     if n.parent is not g:
@@ -807,7 +763,7 @@ def quotient(g: FiniteGroup, n: Subgroup, *,
     if not ok:
         raise NotNormalError(*witness)
     q = g.order // n.order
-    if q > TABLE_BACKING_LIMIT or q > cap:
+    if q > TABLE_BACKING_LIMIT:
         raise CapExceededError(f"quotient order {q} exceeds the table limit")
     proj = [-1] * g.order
     reps: list[int] = []
@@ -826,9 +782,7 @@ def quotient(g: FiniteGroup, n: Subgroup, *,
             for c2, r2 in enumerate(reps):
                 table[c1, c2] = proj[g.multiply(r1, r2)]
     gens = tuple(dict.fromkeys(proj[t] for t in g.generators if proj[t] != 0))
-    labels = ([g.labels[r] for r in reps] if g.labels is not None else None)
-    return Quotient(FiniteGroup(table=table, generators=gens, labels=labels),
-                    tuple(proj))
+    return Quotient(FiniteGroup(table=table, generators=gens), tuple(proj))
 
 
 def power_subgroup(h: Subgroup, q: int) -> Subgroup:
@@ -840,15 +794,17 @@ def power_subgroup(h: Subgroup, q: int) -> Subgroup:
     return subgroup_generated(g, seeds)
 
 
-def product_of_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Product of two normal subgroups (the subgroup they generate)."""
-    if a.parent is not b.parent:
+def product_of_subgroups(*subs: Subgroup) -> Subgroup:
+    """Product of normal subgroups of one group: one closure over their
+    joined generators."""
+    g = subs[0].parent
+    if any(s.parent is not g for s in subs):
         raise ValueError("subgroups must share a parent group")
-    for s in (a, b):
+    for s in subs:
         ok, witness = is_normal(s)
         if not ok:
             raise NotNormalError(*witness)
-    return subgroup_generated(a.parent, a.generators + b.generators)
+    return subgroup_generated(g, [x for s in subs for x in s.generators])
 
 
 def is_abelian_subgroup(h: Subgroup) -> bool:

@@ -230,12 +230,7 @@ class GroupAlgebra:
     that share one instance compute it once.
     """
 
-    def __init__(self, group: FiniteGroup, p: int, *,
-                 oracle_cap: int = DEFAULT_ORACLE_CAP):
-        if group.order > oracle_cap:
-            raise OracleCapExceededError(
-                f"group order {group.order} exceeds the oracle cap "
-                f"{oracle_cap}")
+    def __init__(self, group: FiniteGroup, p: int):
         # Fetching the stored table allocates nothing; a group without
         # one fails here (CapExceededError).
         self._table = group.dense_table()

@@ -157,8 +157,7 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         run_oracle = g.order <= oracle_cap
     if run_oracle:
         if ln:
-            algebra = GroupAlgebra(g, prime,
-                                   oracle_cap=max(oracle_cap, g.order))
+            algebra = GroupAlgebra(g, prime)
             upper_dims, t_up = upper_lie_powers(algebra)
             lower_dims, t_low = lower_lie_powers(algebra)
             direct = dimension_series_direct(algebra)

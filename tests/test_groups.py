@@ -651,6 +651,21 @@ def test_product_of_subgroups():
     refl = subgroup_generated(d8, [4])
     with pytest.raises(NotNormalError):
         product_of_subgroups(refl, trivial_subgroup(d8))
+    # Three factors: one closure equals the pairwise fold; every factor
+    # is checked, the third too, and all must share one parent.
+    c2 = cyclic_group(2)
+    c2cube = direct_product(direct_product(c2, c2), c2)
+    d8xc2 = direct_product(d8, c2)
+    for g, seeds in ((c2cube, (4, 2, 1)), (d8xc2, (4, 1, 2))):
+        x, y, z = (subgroup_generated(g, [s]) for s in seeds)
+        fold = product_of_subgroups(product_of_subgroups(x, y), z)
+        assert product_of_subgroups(x, y, z) == fold
+        assert fold.order == 8
+    rot = subgroup_generated(d8, [1])
+    with pytest.raises(NotNormalError):
+        product_of_subgroups(rot, trivial_subgroup(d8), refl)
+    with pytest.raises(ValueError):
+        product_of_subgroups(rot, rot, trivial_subgroup(c2))
 
 
 def test_abelian_invariants(built):

@@ -17,6 +17,7 @@ from lienilp.groups import (
     cyclic_group,
     lower_central_series,
     subgroup_generated,
+    wreath_cyclic,
 )
 from lienilp.oracle import (
     FpSubspace,
@@ -294,9 +295,17 @@ def test_oracle_reads_no_lower_central_series(monkeypatch, built,
 
 
 def test_oracle_cap(built):
+    """analyze leaves the oracle out above its cap; GroupAlgebra refuses
+    a table-backed group above ORACLE_ORDER_LIMIT, and a group with no
+    dense table."""
+    report = analyze(built("C3wrC3"), 3, oracle_cap=64)
+    assert not report.oracle.ran
+    assert report.checks["oracle_upper_matches_jennings"] is None
+    big = wreath_cyclic(2, 8)
+    assert big.backing == "table" and big.order == 2048
     with pytest.raises(OracleCapExceededError):
-        GroupAlgebra(built("C3wrC3"), 3, oracle_cap=64)
-    with pytest.raises(OracleCapExceededError):
+        GroupAlgebra(big, 2)
+    with pytest.raises(CapExceededError):
         GroupAlgebra(built("C5wrC5"), 5)
 
 
@@ -307,10 +316,10 @@ def test_generators_checked_on_every_catalog_group(catalog):
     for entry in catalog.entries:
         g = catalog.build(entry.name)
         if g.backing == "table":
-            assert GroupAlgebra(g, 2, oracle_cap=g.order).n == g.order
+            assert GroupAlgebra(g, 2).n == g.order
         else:
             with pytest.raises(CapExceededError):
-                GroupAlgebra(g, 2, oracle_cap=g.order)
+                GroupAlgebra(g, 2)
             assert subgroup_generated(g, g.generators).order == g.order
 
 
