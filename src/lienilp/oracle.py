@@ -63,8 +63,8 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 256
-# No algebra is built above this order, whatever the cap, so a forced
-# run fails at once.  On a 2-CPU machine the chains take about 6 s and
+# No algebra is built above this order, whatever analyze's oracle cap,
+# so a forced run fails at once.  On a 2-CPU machine the chains take about 6 s and
 # 140 MB at order 512, each doubling of |G| multiplies the time by 5.5
 # to 10, and a kept upper term is |G|^2 int64 (134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
