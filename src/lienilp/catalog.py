@@ -91,8 +91,10 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
 
 
 def _expand_action(h: FiniteGroup, n_order: int, given: dict) -> dict:
-    """Complete a generator-indexed action to all of h by composition."""
-    acts: dict[int, np.ndarray] = {0: np.arange(n_order, dtype=np.int64)}
+    """Complete a generator-indexed action to all of h breadth first:
+    x * s acts as x's image after s's.  ``semidirect_product`` checks
+    that the result is a homomorphism."""
+    gens: dict[int, np.ndarray] = {}
     for key, perm in given.items():
         j = int(key)
         arr = np.asarray(perm, dtype=np.int64)
@@ -100,23 +102,15 @@ def _expand_action(h: FiniteGroup, n_order: int, given: dict) -> dict:
             raise NotHomomorphismError(
                 f"action image for element {j} has length {arr.size}, "
                 f"expected {n_order}")
-        if j in acts and not np.array_equal(acts[j], arr):
-            raise NotHomomorphismError(
-                f"conflicting action images for element {j}")
-        acts[j] = arr
-    changed = True
-    while changed and len(acts) < h.order:
-        changed = False
-        for j in list(acts):
-            for k in list(acts):
-                jk = h.multiply(j, k)
-                comp = acts[j][acts[k]]
-                if jk not in acts:
-                    acts[jk] = comp
-                    changed = True
-                elif not np.array_equal(acts[jk], comp):
-                    raise NotHomomorphismError(
-                        f"action is not multiplicative at ({j}, {k})")
+        gens[j] = arr
+    acts = {0: np.arange(n_order, dtype=np.int64), **gens}
+    queue = list(acts)
+    for x in queue:
+        for s, a in gens.items():
+            xs = h.multiply(x, s)
+            if xs not in acts:
+                acts[xs] = acts[x][a]
+                queue.append(xs)
     if len(acts) < h.order:
         raise NotHomomorphismError(
             "action images do not cover the acting group (keys must "

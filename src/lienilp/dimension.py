@@ -22,7 +22,6 @@ from .groups import (
     center,
     commutator_subgroup,
     exponent,
-    full_subgroup,
     is_p_group,
     lower_central_series,
     power_subgroup,
@@ -107,7 +106,7 @@ def series_recursive(g: FiniteGroup, p: int) -> DimensionSeries:
     """Series via D_{m+1} = (D_m, G) * (D_{ceil(m/p)+1})^p for m >= 2,
     seeded with D_1 = G and D_2 = G'."""
     gamma = _modular_gamma(g, p)
-    top = full_subgroup(g)
+    top = gamma[0]
     if g.order == 1:
         return DimensionSeries(p, (top,))
     derived = gamma[1] if len(gamma) > 1 else trivial_subgroup(g)
@@ -136,7 +135,7 @@ def series_product(g: FiniteGroup, p: int) -> DimensionSeries:
     terms: D_{m+1} is generated by all gamma_j^(p^i) with
     (j-1) * p^i >= m."""
     gamma = _modular_gamma(g, p)
-    top = full_subgroup(g)
+    top = gamma[0]
     if g.order == 1:
         return DimensionSeries(p, (top,))
 

@@ -46,8 +46,8 @@ class FiniteGroup:
     __slots__ = ("order", "generators",
                  "_table", "_perms", "_perm_index", "_factors", "_inverses")
 
-    def __init__(self, *, table=None, perms=None, factors=None,
-                 generators=(), inverses=None):
+    def __init__(self, *, table=None, perms=None, perm_index=None,
+                 factors=None, generators=(), inverses=None):
         self._table = None
         self._perms = None
         self._perm_index = None
@@ -63,10 +63,9 @@ class FiniteGroup:
             self.order = a.order * b.order
             inverses = (a._inverses.astype(np.int64)[:, None] * b.order
                         + b._inverses[None, :]).reshape(-1)
-        else:
-            self._perms = tuple(tuple(p) for p in perms)
-            self.order = len(self._perms)
-            self._perm_index = {p: i for i, p in enumerate(self._perms)}
+        else:  # int32 rows and the closure's index keyed by their bytes
+            self._perms, self._perm_index = perms, perm_index
+            self.order = len(perms)
         self._inverses = np.asarray(inverses, dtype=np.int32)
         self.generators = tuple(int(x) for x in generators)
 
@@ -84,16 +83,12 @@ class FiniteGroup:
             ia, ib = divmod(i, b.order)
             ja, jb = divmod(j, b.order)
             return a.multiply(ia, ja) * b.order + b.multiply(ib, jb)
-        a = self._perms[i]
-        b = self._perms[j]
-        return self._perm_index[tuple(map(a.__getitem__, b))]
+        return self._perm_index[self._perms[i].take(self._perms[j]).tobytes()]
 
     def inverse(self, i: int) -> int:
         return int(self._inverses[i])
 
     def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inverse(x), -k
         result, base = 0, x
         while k:
             if k & 1:
@@ -105,11 +100,6 @@ class FiniteGroup:
     def conjugate(self, x: int, t: int) -> int:
         """t^-1 * x * t."""
         return self.multiply(self.inverse(t), self.multiply(x, t))
-
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(self.multiply(s, t) == self.multiply(t, s)
-                   for s in gens for t in gens)
 
     def dense_table(self) -> np.ndarray:
         if self._table is None:
@@ -360,14 +350,12 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP
     gens = _greedy_generators(t)
     _check_associative_light(t, gens)
 
-    inverses = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        js = np.flatnonzero(t[i] == 0)
-        ok = [j for j in js if t[j, i] == 0]
-        if not ok:
-            raise NoInverseError(i)
-        inverses[i] = ok[0]
-
+    # A finite monoid now: the first 0 of a row is a two-sided inverse.
+    inverses = t.argmin(axis=1)
+    idx = np.arange(n)
+    bad = (t[idx, inverses] != 0) | (t[inverses, idx] != 0)
+    if bad.any():
+        raise NoInverseError(int(bad.argmax()))
     return FiniteGroup(table=t, generators=gens, inverses=inverses)
 
 
@@ -385,7 +373,7 @@ def from_permutation_generators(degree: int, generators, *,
     element numbered as first found as e * g, e in order, then g in
     order.  Groups whose order stays within TABLE_BACKING_LIMIT are
     materialised as dense tables; bigger closures keep the permutation
-    backing.
+    backing: the int32 rows and one index keyed by their bytes.
     """
     ident = list(range(degree))
     gens: list[list[int]] = []
@@ -432,10 +420,7 @@ def from_permutation_generators(degree: int, generators, *,
     inverses[np.arange(n)[:, None], perms] = np.arange(degree)
     inverses = number(inverses)
     if n > TABLE_BACKING_LIMIT:
-        del index
-        rows = (tuple(p) for i in range(0, n, 4096)
-                for p in perms[i:i + 4096].tolist())
-        return FiniteGroup(perms=rows, inverses=inverses,
+        return FiniteGroup(perms=perms, perm_index=index, inverses=inverses,
                            generators=range(1, k + 1))
 
     # Row e is left multiplication by e: the generators' rows are looked
@@ -478,23 +463,17 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *,
 
 
 def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
-    """Normalise an action to an (|h| x |n|) array of index maps."""
-    arr = np.empty((h.order, n.order), dtype=np.int64)
-    if isinstance(action, dict):
-        for j in range(h.order):
-            if j not in action:
-                raise NotHomomorphismError(
-                    f"action is missing an image for element {j}")
-            arr[j] = np.asarray(action[j], dtype=np.int64)
-    else:
-        mats = list(action)
-        if len(mats) != h.order:
-            raise NotHomomorphismError(
-                f"action must give one automorphism per element of the "
-                f"acting group ({h.order} expected, {len(mats)} given)")
-        for j, m in enumerate(mats):
-            arr[j] = np.asarray(m, dtype=np.int64)
-    return arr
+    """Normalise an action, a dict or a sequence indexed by h-element,
+    to an (|h| x |n|) array of index maps."""
+    if len(action) != h.order:
+        raise NotHomomorphismError(
+            f"action must give one automorphism per element of the "
+            f"acting group ({h.order} expected, {len(action)} given)")
+    try:
+        return np.array([action[j] for j in range(h.order)], dtype=np.int64)
+    except KeyError as exc:
+        raise NotHomomorphismError(
+            f"action is missing an image for element {exc.args[0]}") from None
 
 
 def semidirect_product(n: FiniteGroup, h: FiniteGroup, action, *,

@@ -200,7 +200,7 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     )
 
 
-def render_text(report: LieReport, *, show_timing: bool = True) -> str:
+def render_text(report: LieReport) -> str:
     """Human-readable block, deterministic apart from the timing line."""
     lines = [f"group {report.name}  (order {report.order}, p = {report.prime})"]
     lines.append(f"  lie nilpotent : {report.lie_nilpotent}")
@@ -224,6 +224,5 @@ def render_text(report: LieReport, *, show_timing: bool = True) -> str:
         f"{k}={'pass' if v else 'FAIL' if v is False else 'skipped'}"
         for k, v in sorted(report.checks.items()))
     lines.append(f"  checks        : {flags or 'none'}")
-    if show_timing:
-        lines.append(f"  timing        : {report.timing_ms:.1f} ms")
+    lines.append(f"  timing        : {report.timing_ms:.1f} ms")
     return "\n".join(lines)

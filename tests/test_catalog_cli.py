@@ -13,6 +13,7 @@ from lienilp.errors import (
     UnknownConstructionError,
     UnresolvedReferenceError,
 )
+from lienilp.groups import full_subgroup, is_abelian_subgroup
 
 REQUIRED_ENTRIES = {"C2", "C4", "C2xC2", "D8", "Q8", "C4xC2", "D8xD8",
                     "C2wrC4", "H27", "C3wrC3", "H125", "S3"}
@@ -79,7 +80,7 @@ def test_semidirect_action_on_generators(tmp_path):
         '{"kind": "semidirect", "name": "D8v", "parts": ["C4", "C2"],'
         ' "action": {"1": [0, 3, 2, 1]}}\n')
     g = Catalog(load_catalog(f)).build("D8v")
-    assert g.order == 8 and not g.is_abelian()
+    assert g.order == 8 and not is_abelian_subgroup(full_subgroup(g))
 
 
 def test_semidirect_action_must_cover(tmp_path):
@@ -90,6 +91,19 @@ def test_semidirect_action_must_cover(tmp_path):
         '{"kind": "cyclic", "name": "C2", "order": 2}\n'
         '{"kind": "semidirect", "name": "X", "parts": ["C4", "V"],'
         ' "action": {"0": [0, 1, 2, 3]}}\n')
+    with pytest.raises(NotHomomorphismError):
+        Catalog(load_catalog(f)).build("X")
+
+
+def test_semidirect_action_must_be_multiplicative(tmp_path):
+    """x -> 2x has order 4 in Aut(C5), so it cannot be the image of the
+    order-2 generator of C2."""
+    f = tmp_path / "sd.jsonl"
+    f.write_text(
+        '{"kind": "cyclic", "name": "C5", "order": 5}\n'
+        '{"kind": "cyclic", "name": "C2", "order": 2}\n'
+        '{"kind": "semidirect", "name": "X", "parts": ["C5", "C2"],'
+        ' "action": {"1": [0, 2, 4, 1, 3]}}\n')
     with pytest.raises(NotHomomorphismError):
         Catalog(load_catalog(f)).build("X")
 
