@@ -174,7 +174,7 @@ _FIELDS = {
     "parts": ("a list of entry names", _is_names),
     "action": ("an object from element indices to integer lists",
                lambda v: isinstance(v, dict) and _is_rows(list(v.values()))
-               and all(k.isdecimal() for k in v)),
+               and all(k.isdecimal() and k == str(int(k)) for k in v)),
 }
 
 

@@ -35,6 +35,13 @@ DEFAULT_ORDER_CAP = 65536
 TABLE_BACKING_LIMIT = 4096
 
 
+def _check_cap(order: int, what: str) -> None:
+    """Refuse an order above DEFAULT_ORDER_CAP, read at each call."""
+    if order > DEFAULT_ORDER_CAP:
+        raise CapExceededError(
+            f"{what} {order} exceeds cap {DEFAULT_ORDER_CAP}")
+
+
 class FiniteGroup:
     """A finite group on element indices.
 
@@ -319,13 +326,13 @@ def _check_associative_light(table: np.ndarray,
             raise NotAssociativeError(int(a), int(s), int(b))
 
 
-def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP
-                              ) -> FiniteGroup:
+def from_multiplication_table(table) -> FiniteGroup:
     """Validate a square multiplication table and wrap it as a group.
 
     The identity is relocated to index 0 when necessary.  Raises
     NotAssociativeError / NoIdentityError / NoInverseError naming the
-    violating triple or element, and CapExceededError past the order cap.
+    violating triple or element, and CapExceededError past
+    DEFAULT_ORDER_CAP.
     """
     t = np.asarray(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -333,8 +340,7 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP
     n = t.shape[0]
     if n == 0:
         raise ValueError("multiplication table must be nonempty")
-    if n > cap:
-        raise CapExceededError(f"table order {n} exceeds cap {cap}")
+    _check_cap(n, "table order")
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must lie in [0, order)")
     # In range, so int32 holds every entry: each step below, and the
@@ -364,8 +370,7 @@ def from_multiplication_table(table, *, cap: int = DEFAULT_ORDER_CAP
 # --------------------------------------------------------------------------
 
 
-def from_permutation_generators(degree: int, generators, *,
-                                cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     """Close a set of permutations of {0..degree-1} under composition.
 
     Element 0 is the identity and elements 1..k are the generators, less
@@ -408,8 +413,7 @@ def from_permutation_generators(degree: int, generators, *,
         frontier, seen = levels[-1], len(index)
         prods = frontier[:, gen_arr].reshape(len(frontier) * k, degree)
         nums, first = np.unique(number(prods), return_index=True)
-        if len(index) > cap:
-            raise CapExceededError(f"permutation closure exceeds cap {cap}")
+        _check_cap(len(index), "permutation closure order")
         fresh = first[nums >= seen]
         found.append((seen - len(frontier)) * k + fresh)
         levels.append(prods[fresh])
@@ -443,15 +447,13 @@ def from_permutation_generators(degree: int, generators, *,
 # --------------------------------------------------------------------------
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, *,
-                   cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs; index (i, j) -> i * |b| + j.
 
     Up to TABLE_BACKING_LIMIT the product gets a dense table; above it,
     a product backing that multiplies in each factor."""
     order = a.order * b.order
-    if order > cap:
-        raise CapExceededError(f"product order {order} exceeds cap {cap}")
+    _check_cap(order, "product order")
     nb = b.order
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
     if order > TABLE_BACKING_LIMIT:
@@ -476,8 +478,7 @@ def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
             f"action is missing an image for element {exc.args[0]}") from None
 
 
-def semidirect_product(n: FiniteGroup, h: FiniteGroup, action, *,
-                       cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def semidirect_product(n: FiniteGroup, h: FiniteGroup, action) -> FiniteGroup:
     """Build n x| h with multiplication (n1,h1)(n2,h2) = (n1*h1(n2), h1 h2).
 
     ``action`` maps every element of h to an automorphism of n given as a
@@ -486,8 +487,7 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action, *,
     homomorphism into Aut(n).
     """
     order = n.order * h.order
-    if order > cap:
-        raise CapExceededError(f"product order {order} exceeds cap {cap}")
+    _check_cap(order, "product order")
     if order > TABLE_BACKING_LIMIT:
         raise CapExceededError(
             "semidirect products above the table limit are not supported; "
@@ -525,19 +525,16 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action, *,
     return FiniteGroup(table=table, generators=gens)
 
 
-def wreath_cyclic(p: int, q: int, *, cap: int = DEFAULT_ORDER_CAP
-                  ) -> FiniteGroup:
+def wreath_cyclic(p: int, q: int) -> FiniteGroup:
     """The wreath product of cyclic groups: base (C_p)^q plus a q-step
     coordinate shift, realised as permutations of p*q points."""
     if p < 1 or q < 1:
         raise ValueError("wreath factors must be positive")
-    if p ** q * q > cap:
-        raise CapExceededError(
-            f"wreath order {p ** q * q} exceeds cap {cap}")
+    _check_cap(p ** q * q, "wreath order")
     degree = p * q
     base = [(x + 1) % p if x < p else x for x in range(degree)]
     shift = [(x + p) % degree for x in range(degree)]
-    return from_permutation_generators(degree, [base, shift], cap=cap)
+    return from_permutation_generators(degree, [base, shift])
 
 
 # --------------------------------------------------------------------------
@@ -545,23 +542,21 @@ def wreath_cyclic(p: int, q: int, *, cap: int = DEFAULT_ORDER_CAP
 # --------------------------------------------------------------------------
 
 
-def cyclic_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def cyclic_group(order: int) -> FiniteGroup:
     if order < 1:
         raise ValueError("order must be positive")
-    if order > cap:
-        raise CapExceededError(f"order {order} exceeds cap {cap}")
+    _check_cap(order, "order")
     i = np.arange(order)
     table = (i[:, None] + i[None, :]) % order
     gens = (1,) if order > 1 else ()
     return FiniteGroup(table=table, generators=gens)
 
 
-def dihedral_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def dihedral_group(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order: rotations then reflections."""
     if order < 2 or order % 2:
         raise ValueError("dihedral order must be even and at least 2")
-    if order > cap:
-        raise CapExceededError(f"order {order} exceeds cap {cap}")
+    _check_cap(order, "order")
     m = order // 2
     i = np.arange(order)
     r, f = i % m, i // m
@@ -573,10 +568,8 @@ def dihedral_group(order: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup(table=table, generators=gens)
 
 
-def quaternion_group8(*, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def quaternion_group8() -> FiniteGroup:
     """The quaternion group of order 8: a^4 = 1, b^2 = a^2, a^b = a^-1."""
-    if 8 > cap:
-        raise CapExceededError("order 8 exceeds cap")
     i = np.arange(8)
     r, f = i % 4, i // 4
     r1, r2 = r[:, None], r[None, :]
@@ -586,15 +579,13 @@ def quaternion_group8(*, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup(table=table, generators=(1, 4))
 
 
-def extraspecial_exponent_p(p: int, *, cap: int = DEFAULT_ORDER_CAP
-                            ) -> FiniteGroup:
+def extraspecial_exponent_p(p: int) -> FiniteGroup:
     """Extraspecial group of order p^3 and exponent p (odd p only),
     realised as unitriangular coordinate triples (a, b, c)."""
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     order = p ** 3
-    if order > cap:
-        raise CapExceededError(f"order {order} exceeds cap {cap}")
+    _check_cap(order, "order")
     i = np.arange(order)
     a, rem = np.divmod(i, p * p)
     b, c = np.divmod(rem, p)

@@ -6,11 +6,12 @@ computed directly from their definitions with dense linear algebra over
 the prime field.  Everything here is deliberately simple and serves as
 the independent check for the subgroup-series formulas.
 
-All row reduction goes through one incremental echelon builder, which
-keeps a fully reduced basis and absorbs blocks of candidate rows.  Its
-arithmetic is exact for every p: it runs in float64, with BLAS products,
-only while (p-1)^2 times (width + 1) stays below 2^52, so every value it
-forms is an exact float64 integer, and in Python integers otherwise.
+All row reduction goes through one subspace type, FpSubspace: a fully
+reduced basis, kept in the work dtype, that absorbs blocks of candidate
+rows and closes under coordinate permutations.  Its arithmetic is exact
+for every p: it runs in float64, with BLAS products, only while (p-1)^2
+times (width + 1) stays below 2^52, so every value it forms is an exact
+float64 integer, and in Python integers otherwise.
 
 Most of the work runs over the stored generators S of G rather than all
 of G, by two identities of the algebra itself:
@@ -66,7 +67,7 @@ DEFAULT_ORACLE_CAP = 256
 # No algebra is built above this order, whatever analyze's oracle cap,
 # so a forced run fails at once.  On a 2-CPU machine the chains take about 6 s and
 # 140 MB at order 512, each doubling of |G| multiplies the time by 5.5
-# to 10, and a kept upper term is |G|^2 int64 (134 MB at order 4096).
+# to 10, and a kept upper term is |G|^2 float64 (134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
 # floor(x / p) is exact in float64 for integers x below this in magnitude.
 _FLOAT_EXACT = 2 ** 52
@@ -97,18 +98,24 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 class FpSubspace:
-    """A subspace of GF(p)^width held as a reduced row echelon basis:
-    a snapshot of the echelon builder.  Membership is tested by reducing
-    against ``_EchelonBuilder(p, width, start=subspace)``."""
+    """A subspace of GF(p)^width held as a fully reduced row echelon
+    basis in the work dtype, and the GF(p) row reduction engine: it
+    grows by absorbing blocks of candidate rows.
 
-    __slots__ = ("p", "width", "basis", "pivots")
+    A candidate reduced against the basis is zero on every pivot column,
+    so reduction and elimination only touch the free columns.  ``absorb``
+    rebinds basis, pivots and free and never writes them in place, so a
+    copy may share them."""
 
-    def __init__(self, p: int, width: int, basis: np.ndarray,
-                 pivots: tuple[int, ...]):
+    __slots__ = ("p", "width", "work", "basis", "pivots", "free")
+
+    def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.basis = basis
-        self.pivots = pivots
+        self.work = _work_dtype(p, width)
+        self.basis = np.zeros((0, width), dtype=self.work)
+        self.pivots = np.zeros(0, dtype=np.intp)
+        self.free = np.arange(width)
 
     @classmethod
     def from_vectors(cls, vectors, p: int, width: int | None = None
@@ -127,9 +134,9 @@ class FpSubspace:
             raise DimensionMismatchError(
                 f"vectors of length {mat.shape[1]} in a space of width "
                 f"{width}")
-        builder = _EchelonBuilder(p, width)
-        builder.absorb(mat)
-        return builder.snapshot()
+        space = cls(p, width)
+        space.absorb(mat)
+        return space
 
     @property
     def dim(self) -> int:
@@ -139,33 +146,20 @@ class FpSubspace:
         if not isinstance(other, FpSubspace):
             return NotImplemented
         return (self.p == other.p and self.width == other.width
-                and self.pivots == other.pivots
+                and np.array_equal(self.pivots, other.pivots)
                 and np.array_equal(self.basis, other.basis))
 
-
-class _EchelonBuilder:
-    """The GF(p) row reduction engine: a fully reduced echelon basis
-    that grows by absorbing blocks of candidate rows.
-
-    A candidate reduced against the basis is zero on every pivot column,
-    so reduction and elimination only touch the free columns."""
-
-    def __init__(self, p: int, width: int, start: FpSubspace | None = None):
-        self.p = p
-        self.width = width
-        self.work = _work_dtype(p, width)
-        if start is None:
-            self.rows = np.zeros((0, width), dtype=self.work)
-            self.pivots = np.zeros(0, dtype=np.intp)
-        else:
-            self.rows = start.basis.astype(self.work)
-            self.pivots = np.array(start.pivots, dtype=np.intp)
-        self.free = np.setdiff1d(np.arange(width), self.pivots)
+    def copy(self) -> "FpSubspace":
+        twin = FpSubspace(self.p, self.width)
+        twin.basis, twin.pivots, twin.free = self.basis, self.pivots, self.free
+        return twin
 
     def reduce(self, candidates) -> np.ndarray:
         """The rows minus their projection onto the span, mod p, on the
         free columns (they are zero on the pivot columns)."""
         c = np.asarray(candidates)
+        if c.dtype.kind == "f" and self.work is object:
+            c = c.astype(np.int64)      # Python ints below, not floats
         if c.dtype == self.work or self.work is object:
             c = _mod(c.astype(self.work, copy=False), self.p)
         else:
@@ -175,7 +169,7 @@ class _EchelonBuilder:
         if not self.pivots.size:
             return c
         return _mod(c[:, self.free]
-                    - c[:, self.pivots] @ self.rows[:, self.free], self.p)
+                    - c[:, self.pivots] @ self.basis[:, self.free], self.p)
 
     def absorb(self, candidates) -> np.ndarray:
         """Add the span of the rows; returns reduced rows, in the work
@@ -207,20 +201,24 @@ class _EchelonBuilder:
         new = np.zeros((len(cols), self.width), dtype=self.work)
         new[:, free] = new_free
         cols = free[cols]
-        rows = self.rows
-        if rows[:, cols].any():
-            rows = _mod(rows - rows[:, cols] @ new, p)
+        basis = self.basis
+        if basis[:, cols].any():
+            basis = _mod(basis - basis[:, cols] @ new, p)
         pivots = np.concatenate([self.pivots, cols])
         order = np.argsort(pivots, kind="stable")
-        self.rows = np.concatenate([rows, new])[order]
+        self.basis = np.concatenate([basis, new])[order]
         self.pivots = pivots[order]
         self.free = np.setdiff1d(free, cols)
         return new
 
-    def snapshot(self) -> FpSubspace:
-        return FpSubspace(self.p, self.width,
-                          self.rows.astype(_dtype(self.p)),
-                          tuple(int(c) for c in self.pivots))
+    def close(self, perms) -> "FpSubspace":
+        """Absorb the images of the new rows, the whole basis first,
+        under every coordinate permutation until none is new; returns
+        the subspace."""
+        fresh = self.basis
+        while fresh.shape[0] and len(perms):
+            fresh = self.absorb(np.vstack([fresh[:, perm] for perm in perms]))
+        return self
 
 
 class GroupAlgebra:
@@ -251,6 +249,8 @@ class GroupAlgebra:
         self._inv = np.fromiter((group.inverse(i) for i in range(self.n)),
                                 count=self.n, dtype=np.intp)
         self._gens = tuple(s for s in dict.fromkeys(group.generators) if s)
+        self._sides = [perm for s in self._gens
+                       for perm in (self._left(s), self._right(s))]
         self._upper = [self.full_space()]
 
     # -- elements -----------------------------------------------------------
@@ -292,24 +292,19 @@ class GroupAlgebra:
         (-p, p) and the dtype of the basis."""
         blocks = [basis[:, self._right(g)] - basis[:, self._left(g)]
                   for g in elements]
-        if not blocks:
-            return np.zeros((0, self.n), dtype=self.dtype)
-        return np.vstack(blocks)
+        return np.vstack(blocks or [basis[:0]])
 
     def full_space(self) -> FpSubspace:
-        eye = np.eye(self.n, dtype=self.dtype)
-        return FpSubspace(self.p, self.n, eye, tuple(range(self.n)))
+        """KG itself: every column a pivot, the identity its basis."""
+        space = FpSubspace(self.p, self.n)
+        space.basis = np.eye(self.n, dtype=space.work)
+        space.pivots, space.free = space.free, space.pivots
+        return space
 
     def ideal_closure(self, span: FpSubspace) -> FpSubspace:
         """Least subspace containing the span and closed under left and
         right multiplication by the generators, hence by all of G."""
-        builder = _EchelonBuilder(self.p, self.n, start=span)
-        fresh = builder.rows
-        while fresh.shape[0] and self._gens:
-            fresh = builder.absorb(np.vstack(
-                [fresh[:, perm] for s in self._gens
-                 for perm in (self._left(s), self._right(s))]))
-        return builder.snapshot()
+        return span.copy().close(self._sides)
 
     def upper_power(self, m: int) -> FpSubspace:
         """The m-th upper Lie power (m >= 1): KG first, then each term
@@ -350,7 +345,7 @@ def _lower_spans(algebra: GroupAlgebra):
 
     Each step brackets a basis of the previous span with one
     representative of each non-central conjugacy class (basis elements
-    suffice by multilinearity), one block per class into the builder,
+    suffice by multilinearity), one block per class into the subspace,
     and closes the result under conjugation by the generators.  Spans
     are nested, so their dimensions fall until one of these happens."""
     table, inv = algebra._table, algebra._inv
@@ -363,17 +358,10 @@ def _lower_spans(algebra: GroupAlgebra):
     span = algebra.full_space()
     yield span
     while span.dim:
-        builder = _EchelonBuilder(algebra.p, n)
-        # Blocks already in the work dtype skip the integer reduction.
-        basis = span.basis.astype(builder.work)
+        nxt = FpSubspace(algebra.p, n)
         for g in reps:
-            builder.absorb(algebra._brackets(basis, (g,)))
-        fresh = builder.rows
-        while fresh.shape[0]:
-            fresh = builder.absorb(
-                np.vstack([fresh[:, perm] for perm in perms]))
-        nxt = builder.snapshot()
-        yield nxt
+            nxt.absorb(algebra._brackets(span.basis, (g,)))
+        yield nxt.close(perms)
         if nxt.dim == span.dim:
             return
         span = nxt
@@ -404,9 +392,9 @@ def dimension_subgroup_direct(algebra: GroupAlgebra, m: int) -> Subgroup:
     elements g with delta_g - delta_1 in the m-th upper Lie power."""
     if m < 1:
         raise ValueError("series index must be positive")
-    deltas = np.eye(algebra.n, dtype=algebra.dtype)
+    term = algebra.upper_power(m)
+    deltas = np.eye(algebra.n, dtype=term.work)
     deltas[:, 0] -= 1
-    term = _EchelonBuilder(algebra.p, algebra.n, algebra.upper_power(m))
     members = np.flatnonzero(~term.reduce(deltas).any(axis=1)).tolist()
     return Subgroup(algebra.group, members)
 

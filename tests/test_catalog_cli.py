@@ -108,6 +108,23 @@ def test_semidirect_action_must_be_multiplicative(tmp_path):
         Catalog(load_catalog(f)).build("X")
 
 
+@pytest.mark.parametrize("key", ["01", "\u0661"])
+def test_action_key_spelled_twice_rejected(tmp_path, capsys, key):
+    """"01" and the Arabic-Indic digit one both read as element 1,
+    which "1" already names: a catalog error, not a last-wins merge."""
+    f = tmp_path / "sd.jsonl"
+    f.write_text(
+        '{"kind": "cyclic", "name": "C4", "order": 4}\n'
+        '{"kind": "cyclic", "name": "C2", "order": 2}\n'
+        '{"kind": "semidirect", "name": "X", "parts": ["C4", "C2"],'
+        f' "action": {{"1": [0, 1, 2, 3], {json.dumps(key)}: [0, 3, 2, 1]}}}}\n')
+    with pytest.raises(CatalogParseError) as err:
+        Catalog(load_catalog(f)).build("X")
+    assert err.value.line == 3 and "'action' must be" in str(err.value)
+    assert main(["analyze", "X", "--prime", "2", "--catalog", str(f)]) == 2
+    assert "error: catalog line 3: " in capsys.readouterr().err
+
+
 def test_comments_and_blank_lines_skipped(tmp_path):
     f = tmp_path / "c.jsonl"
     f.write_text('# header\n\n{"kind": "cyclic", "name": "C3", "order": 3}\n')

@@ -167,9 +167,10 @@ def test_identity_relocated_to_zero():
     assert sorted(element_order(g, x) for x in range(4)) == [1, 2, 4, 4]
 
 
-def test_table_cap():
+def test_table_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 1)
     with pytest.raises(CapExceededError):
-        from_multiplication_table([[0, 1], [1, 0]], cap=1)
+        from_multiplication_table([[0, 1], [1, 0]])
 
 
 # --- from_permutation_generators ------------------------------------------------
@@ -187,10 +188,10 @@ def test_d8_from_permutations():
     assert not is_abelian_subgroup(full_subgroup(g))
 
 
-def test_s5_cap_exceeded():
+def test_s5_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 100)
     with pytest.raises(CapExceededError):
-        from_permutation_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]],
-                                    cap=100)
+        from_permutation_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
 
 
 def test_closure_matches_brute_force():
@@ -199,13 +200,13 @@ def test_closure_matches_brute_force():
     assert full == frozenset(range(8))
 
 
-def _assert_matches_brute(degree, gens, **kwargs):
+def _assert_matches_brute(degree, gens):
     """The builder numbers, generates, multiplies and inverts exactly as
     the one-product-at-a-time reference.  A permutation-backed build is
     checked on every product whenever the reference table is small
     enough to fill (G and its opposite group have the same invariants,
     so only a product-by-product check sees the order of composition)."""
-    g = from_permutation_generators(degree, gens, **kwargs)
+    g = from_permutation_generators(degree, gens)
     elements, gen_indices, table, inverses = brute_permutation_closure(
         degree, gens, table=g.order <= 4096)
     assert g.order == len(elements)
@@ -264,16 +265,17 @@ def test_closure_matches_reference_on_catalog(catalog, monkeypatch):
 
 
 @pytest.mark.parametrize("p, k, seed", [(2, 3, 1), (3, 2, 2), (2, 4, 3)])
-def test_closure_matches_reference_on_random_sylow_subgroups(p, k, seed):
+def test_closure_matches_reference_on_random_sylow_subgroups(p, k, seed,
+                                                           monkeypatch):
     import random
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 512)
     rng = random.Random(seed)
     orders = []
     while len(orders) < 6:
         gens = [_random_sylow_element(p, k, rng)
                 for _ in range(rng.choice((1, 2, 3)))]
         try:
-            orders.append(_assert_matches_brute(p ** k, gens,
-                                                cap=512).order)
+            orders.append(_assert_matches_brute(p ** k, gens).order)
         except CapExceededError:
             continue
     assert max(orders) > 8, orders
@@ -308,11 +310,13 @@ def test_closure_edge_cases(degree, gens, order):
     assert _assert_matches_brute(degree, gens).order == order
 
 
-def test_closure_cap_is_inclusive():
+def test_closure_cap_is_inclusive(monkeypatch):
     s5 = [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]
-    assert from_permutation_generators(5, s5, cap=120).order == 120
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 120)
+    assert from_permutation_generators(5, s5).order == 120
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 119)
     with pytest.raises(CapExceededError):
-        from_permutation_generators(5, s5, cap=119)
+        from_permutation_generators(5, s5)
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3],
@@ -458,10 +462,11 @@ def test_wreath_via_generic_semidirect():
         sorted(element_order(w, x) for x in range(81))
 
 
-def test_product_cap():
+def test_product_cap(monkeypatch):
     d8 = dihedral_group(8)
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 32)
     with pytest.raises(CapExceededError):
-        direct_product(d8, d8, cap=32)
+        direct_product(d8, d8)
 
 
 def test_direct_product_above_table_limit(built):

@@ -22,7 +22,6 @@ from lienilp.groups import (
 from lienilp.oracle import (
     FpSubspace,
     GroupAlgebra,
-    _EchelonBuilder,
     _lower_spans,
     dimension_series_direct,
     dimension_subgroup_direct,
@@ -49,8 +48,7 @@ def naive_convolution(g, p, x, y):
 
 def contains_all(space, rows):
     """Every row lies in the subspace: it reduces to zero against it."""
-    builder = _EchelonBuilder(space.p, space.width, start=space)
-    return not builder.reduce(rows).any()
+    return not space.reduce(rows).any()
 
 
 def chains(alg):
@@ -130,7 +128,7 @@ def test_subspace_sum():
     a = FpSubspace.from_vectors([[1, 0, 0]], 2)
     b = FpSubspace.from_vectors([[0, 1, 0]], 2)
     ab = FpSubspace.from_vectors(np.vstack([a.basis, b.basis]), 2)
-    assert ab.dim == 2 and ab.pivots == (0, 1)
+    assert ab.dim == 2 and ab.pivots.tolist() == [0, 1]
     assert contains_all(ab, np.vstack([a.basis, b.basis]))
     assert FpSubspace.from_vectors(np.vstack([a.basis, a.basis]), 2) == a
 
@@ -156,11 +154,20 @@ def _random_rows(p, count, width, seed):
 @pytest.mark.parametrize("p", LARGE_PRIMES)
 def test_builder_exact_at_large_prime(p):
     v = _random_rows(p, 2, 6, seed=1)
-    builder = _EchelonBuilder(p, 6)
-    assert builder.absorb(v).shape[0] == 2
+    space = FpSubspace(p, 6)
+    assert space.absorb(v).shape[0] == 2
     both = [(a + b) % p for a, b in zip(*v)]
-    assert builder.absorb([both]).shape[0] == 0
-    assert builder.snapshot().dim == 2
+    assert space.absorb([both]).shape[0] == 0
+    assert space.dim == 2
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_float_input_exact_at_large_prime(p):
+    """Float rows are taken as the integers they hold, not reduced as
+    Python floats, which round past 2^53 and can leave a pivot column
+    uncleared for ever."""
+    assert FpSubspace.from_vectors(np.array([[2.0, 3.0]]), p) == \
+        FpSubspace.from_vectors([[2, 3]], p)
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
@@ -391,6 +398,28 @@ def test_ideal_closure_matches_all_elements_reference(built):
                 FpSubspace.from_vectors(vecs, p, g.order))
             assert np.array_equal(ideal.basis,
                                   brute_ideal_closure(g, p, vecs)), name
+
+
+@pytest.mark.parametrize("p", [2, 2 ** 31 - 1])
+def test_full_space_is_the_identity_span(built, p):
+    alg = GroupAlgebra(built("D8"), p)
+    assert alg.full_space() == FpSubspace.from_vectors(np.eye(alg.n), p)
+
+
+def test_copies_share_no_growth(built):
+    """A copy that absorbs rows leaves the kept chain term, and ideals
+    closed from it, as they were."""
+    alg = GroupAlgebra(built("D8"), 2)
+    upper_lie_powers(alg)
+    term = alg._upper[1]
+    before = (FpSubspace.from_vectors(term.basis, 2, alg.n),
+              alg.ideal_closure(term))
+    grown = term.copy()
+    grown.absorb(np.eye(alg.n))
+    assert grown.dim == alg.n > before[0].dim
+    after = alg._upper[1], alg.ideal_closure(alg._upper[1])
+    assert [s.dim for s in after] == [s.dim for s in before]
+    assert after == before
 
 
 def test_upper_chain_shared_by_one_algebra(built):
