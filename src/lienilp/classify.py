@@ -164,12 +164,6 @@ class SharpnessReport:
     p: int
     witnesses: list[SharpnessWitness]
 
-    @property
-    def bound_fails_for_small_p(self) -> bool:
-        """True when some witness meets or exceeds the p >= 5 bound,
-        so that bound cannot hold at this characteristic."""
-        return any(w.t_upper >= w.small_p_bound for w in self.witnesses)
-
 
 def corollary_sharpness(p: int, reports: Sequence[LieReport]
                         ) -> SharpnessReport:

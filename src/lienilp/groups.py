@@ -42,6 +42,16 @@ def _check_cap(order: int, what: str) -> None:
             f"{what} {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
+def _check_table(order: int, what: str) -> None:
+    """Refuse a dense table above TABLE_BACKING_LIMIT before any array
+    of it is built."""
+    _check_cap(order, what)
+    if order > TABLE_BACKING_LIMIT:
+        raise CapExceededError(
+            f"{what} {order} is above {TABLE_BACKING_LIMIT}, the largest "
+            f"order built as a table")
+
+
 class FiniteGroup:
     """A finite group on element indices.
 
@@ -193,10 +203,6 @@ class AbelianType:
     @property
     def order(self) -> int:
         return math.prod(self.factors) if self.factors else 1
-
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.factors) <= 1
 
 
 @dataclass(frozen=True)
@@ -380,16 +386,19 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     materialised as dense tables; bigger closures keep the permutation
     backing: the int32 rows and one index keyed by their bytes.
     """
-    ident = list(range(degree))
+    if degree < 0:
+        raise ValueError(f"permutation degree {degree} is negative")
     gens: list[list[int]] = []
     for g in generators:
         p = [int(x) for x in g]
-        if sorted(p) != ident:
+        # The length first: a generator of another length builds nothing
+        # of size degree.
+        if len(p) != degree or sorted(p) != list(range(degree)):
             raise ValueError(
                 f"{tuple(p)} is not a permutation of 0..{degree - 1}")
-        if p != ident and p not in gens:
+        if p != sorted(p) and p not in gens:
             gens.append(p)
-    if degree == 0:  # no points: the identity is the only permutation
+    if not gens:  # no generators but the identity, or no points
         return FiniteGroup(table=[[0]])
     k = len(gens)
     gen_arr = np.array(gens, dtype=np.int32).reshape(k, degree)
@@ -545,8 +554,8 @@ def wreath_cyclic(p: int, q: int) -> FiniteGroup:
 def cyclic_group(order: int) -> FiniteGroup:
     if order < 1:
         raise ValueError("order must be positive")
-    _check_cap(order, "order")
-    i = np.arange(order)
+    _check_table(order, "cyclic order")
+    i = np.arange(order, dtype=np.int32)
     table = (i[:, None] + i[None, :]) % order
     gens = (1,) if order > 1 else ()
     return FiniteGroup(table=table, generators=gens)
@@ -556,9 +565,9 @@ def dihedral_group(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order: rotations then reflections."""
     if order < 2 or order % 2:
         raise ValueError("dihedral order must be even and at least 2")
-    _check_cap(order, "order")
+    _check_table(order, "dihedral order")
     m = order // 2
-    i = np.arange(order)
+    i = np.arange(order, dtype=np.int32)
     r, f = i % m, i // m
     r1, r2 = r[:, None], r[None, :]
     f1, f2 = f[:, None], f[None, :]
@@ -585,8 +594,8 @@ def extraspecial_exponent_p(p: int) -> FiniteGroup:
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     order = p ** 3
-    _check_cap(order, "order")
-    i = np.arange(order)
+    _check_table(order, "extraspecial order")
+    i = np.arange(order, dtype=np.int32)
     a, rem = np.divmod(i, p * p)
     b, c = np.divmod(rem, p)
     a1, a2 = a[:, None], a[None, :]

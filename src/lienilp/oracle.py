@@ -36,22 +36,29 @@ element per conjugacy class instead:
   representative of each non-central class (central g give 0).  As for
   ideals, closing under conjugation by every delta_s is enough.
 
-None of these involves dimension subgroups or a lower central series,
-so the oracle borrows nothing from the formulas it checks, nor the
-bound t <= |G'| + 1 it tests.  No chain needs a step count to stop
-at: each term lies in the one before, so within |G| + 1 steps a chain
-reaches 0 or repeats a dimension, and a repeat above 0 (it stays there
-for ever) raises NoConvergenceError.
+One loop builds both chains.  From KG, each next term is the span of
+the brackets of the last term's basis with each block of group
+elements (all generators in one block for the upper chain, one block
+per non-central class representative for the lower), closed under
+left and right multiplication, resp. conjugation, by the generators.
+Terms are nested, so within |G| + 1 terms a chain reaches 0 or repeats
+a dimension and stops; a repeat above 0 raises NoConvergenceError.
+Nothing here reads dimension subgroups, a lower central series or a
+step count, so the oracle borrows nothing from the formulas it checks,
+nor the bound t <= |G'| + 1 it tests.
 
 Every chain function takes one ``GroupAlgebra``, which refuses a group
 above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
-and keeps its upper chain: the upper indices, the chain dimensions and
-the direct dimension subgroups all read one chain.  On a 2-CPU machine
-the whole oracle for the order-128 D8wrC2 at p = 2 takes about 0.2 s,
-and for an order-512 group about 6 s.
+and keeps its upper chain, built on first use: the upper indices, the
+chain dimensions and the direct dimension subgroups all read that one
+list.  On a 2-CPU x86-64 machine with one BLAS thread the whole oracle
+at p = 2 takes about 0.25 s for the order-128 D8wrC2, 1.1 s for
+D8wrC2 x C2 (order 256) and 7.4 s for D8wrC2 x C4 (order 512).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -65,18 +72,12 @@ from .groups import FiniteGroup, Subgroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 256
 # No algebra is built above this order, whatever analyze's oracle cap,
-# so a forced run fails at once.  On a 2-CPU machine the chains take about 6 s and
-# 140 MB at order 512, each doubling of |G| multiplies the time by 5.5
-# to 10, and a kept upper term is |G|^2 float64 (134 MB at order 4096).
+# so a forced run fails at once.  At order 512 the chains take 7.4 s
+# and 135 MB on 2 CPUs, each doubling of |G| costs 5.5 to 10 times the
+# time, and a kept upper term is |G|^2 float64 (134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
 # floor(x / p) is exact in float64 for integers x below this in magnitude.
 _FLOAT_EXACT = 2 ** 52
-
-
-def _dtype(p: int):
-    """Element dtype: int64 while a product of two residues fits in it,
-    Python ints beyond."""
-    return np.int64 if p * p < 2 ** 63 else object
 
 
 def _work_dtype(p: int, width: int):
@@ -222,9 +223,10 @@ class FpSubspace:
 
 
 class GroupAlgebra:
-    """The convolution algebra of a finite group over GF(p).
+    """The group algebra of a finite group over GF(p), held as the
+    coordinate permutations by which each delta_g multiplies it.
 
-    Its upper Lie power chain is computed on demand and kept, so callers
+    Its upper Lie power chain is built on first use and kept, so callers
     that share one instance compute it once.
     """
 
@@ -245,39 +247,11 @@ class GroupAlgebra:
         self.group = group
         self.p = p
         self.n = group.order
-        self.dtype = _dtype(p)
         self._inv = np.fromiter((group.inverse(i) for i in range(self.n)),
                                 count=self.n, dtype=np.intp)
         self._gens = tuple(s for s in dict.fromkeys(group.generators) if s)
         self._sides = [perm for s in self._gens
                        for perm in (self._left(s), self._right(s))]
-        self._upper = [self.full_space()]
-
-    # -- elements -----------------------------------------------------------
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.n, dtype=self.dtype)
-
-    def delta(self, g: int) -> np.ndarray:
-        v = self.zero()
-        v[g] = 1
-        return v
-
-    def multiply(self, x, y) -> np.ndarray:
-        """Convolution product: (xy)_g = sum over uv = g of x_u y_v."""
-        x = np.asarray(x, dtype=self.dtype) % self.p
-        y = np.asarray(y, dtype=self.dtype) % self.p
-        if x.shape != (self.n,) or y.shape != (self.n,):
-            raise DimensionMismatchError("element length must equal |G|")
-        out = self.zero()
-        for u in np.flatnonzero(x):
-            out[self._table[u]] = (out[self._table[u]] + x[u] * y) % self.p
-        return out
-
-    def bracket(self, x, y) -> np.ndarray:
-        return (self.multiply(x, y) - self.multiply(y, x)) % self.p
-
-    # -- span machinery ------------------------------------------------------
 
     def _left(self, g: int) -> np.ndarray:
         """x -> delta_g * x permutes coordinates by h -> g^-1 h."""
@@ -306,48 +280,48 @@ class GroupAlgebra:
         right multiplication by the generators, hence by all of G."""
         return span.copy().close(self._sides)
 
-    def upper_power(self, m: int) -> FpSubspace:
-        """The m-th upper Lie power (m >= 1): KG first, then each term
-        the ideal generated by brackets of the previous term with the
-        generators.  Once two terms agree every later term is the same."""
-        chain = self._upper
-        while len(chain) < m:
-            current = chain[-1]
-            if current.dim == 0 or (len(chain) > 1
-                                    and chain[-2].dim == current.dim):
-                return current
-            span = FpSubspace.from_vectors(
-                self._brackets(current.basis, self._gens), self.p, self.n)
-            chain.append(self.ideal_closure(span))
-        return chain[m - 1]
+    def _lie_powers(self, blocks, perms):
+        """A Lie power chain: KG, then each term the brackets of the last
+        one's basis with each block of elements, closed under perms,
+        until a term is 0 or repeats the dimension before it."""
+        term, before = self.full_space(), None
+        yield term
+        while term.dim and term.dim != before:
+            nxt = FpSubspace(self.p, self.n)
+            for block in blocks:
+                nxt.absorb(self._brackets(term.basis, block))
+            before, term = term.dim, nxt.close(perms)
+            yield term
+
+    @cached_property
+    def _upper(self) -> list[FpSubspace]:
+        """The upper Lie powers: each term is the ideal generated by the
+        brackets of the one before with the generators, in one block."""
+        return list(self._lie_powers([self._gens], self._sides))
 
 
 def upper_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     """Dimension chain of the upper Lie powers and the first index where
-    the chain reaches zero, read from and kept on the algebra.
+    the chain reaches zero, read from the algebra's kept chain.
 
-    A chain that stabilises above zero signals a non-Lie-nilpotent
-    input via NoConvergenceError.
+    A chain that stops above zero signals a non-Lie-nilpotent input via
+    NoConvergenceError.
     """
-    dims = [algebra.n]
-    while dims[-1]:
-        dims.append(algebra.upper_power(len(dims) + 1).dim)
-        if dims[-1] == dims[-2]:
-            raise NoConvergenceError(
-                f"upper Lie power chain stabilises at dimension {dims[-1]}",
-                dims)
+    dims = [term.dim for term in algebra._upper]
+    if dims[-1]:
+        raise NoConvergenceError(
+            f"upper Lie power chain stabilises at dimension {dims[-1]}",
+            dims)
     return dims, len(dims)
 
 
 def _lower_spans(algebra: GroupAlgebra):
-    """The lower Lie powers as spans, KG first and then one per weight,
-    until a span is 0 or repeats the dimension of the one before.
+    """The lower Lie powers as spans, KG first and then one per weight.
 
     Each step brackets a basis of the previous span with one
     representative of each non-central conjugacy class (basis elements
-    suffice by multilinearity), one block per class into the subspace,
-    and closes the result under conjugation by the generators.  Spans
-    are nested, so their dimensions fall until one of these happens."""
+    suffice by multilinearity), one block per class, and closes the
+    result under conjugation by the generators."""
     table, inv = algebra._table, algebra._inv
     n = algebra.n
     conj = table[table, inv[:, None]]      # conj[h, g] = h g h^-1
@@ -355,16 +329,7 @@ def _lower_spans(algebra: GroupAlgebra):
                           & (conj != np.arange(n)).any(axis=0))
     # x[:, conj[s]] is x conjugated by delta_s^-1; the s^-1 generate G.
     perms = [conj[s] for s in algebra._gens]
-    span = algebra.full_space()
-    yield span
-    while span.dim:
-        nxt = FpSubspace(algebra.p, n)
-        for g in reps:
-            nxt.absorb(algebra._brackets(span.basis, (g,)))
-        yield nxt.close(perms)
-        if nxt.dim == span.dim:
-            return
-        span = nxt
+    return algebra._lie_powers([(g,) for g in reps], perms)
 
 
 def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
@@ -375,15 +340,14 @@ def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     non-Lie-nilpotent input via NoConvergenceError.
     """
     spans = _lower_spans(algebra)
-    prev = next(spans)
-    dims = [prev.dim]
+    span = next(spans)
+    dims = [span.dim]
     for span in spans:
         dims.append(algebra.ideal_closure(span).dim)
-        if span.dim and span.dim == prev.dim:
-            raise NoConvergenceError(
-                f"lower Lie power chain stabilises at dimension "
-                f"{span.dim}", dims)
-        prev = span
+    if span.dim:
+        raise NoConvergenceError(
+            f"lower Lie power chain stabilises at dimension {span.dim}",
+            dims)
     return dims, len(dims)
 
 
@@ -392,7 +356,8 @@ def dimension_subgroup_direct(algebra: GroupAlgebra, m: int) -> Subgroup:
     elements g with delta_g - delta_1 in the m-th upper Lie power."""
     if m < 1:
         raise ValueError("series index must be positive")
-    term = algebra.upper_power(m)
+    chain = algebra._upper      # it stays at its last term for ever
+    term = chain[min(m, len(chain)) - 1]
     deltas = np.eye(algebra.n, dtype=term.work)
     deltas[:, 0] -= 1
     members = np.flatnonzero(~term.reduce(deltas).any(axis=1)).tolist()

@@ -5,9 +5,10 @@ closures iterate all pairwise products to a fixed point, and commutator
 subgroups enumerate every commutator pair, so they stay independent of
 the generator-based implementations they check.  The permutation
 closure multiplies one element by one generator at a time in pure
-Python.  The group-algebra
-reference likewise closes ideals under every delta_g and brackets
-against every delta_g, with its own row reduction.
+Python.  The group-algebra reference multiplies by the convolution
+definition in Python integers (exact at every p), closes ideals under
+every delta_g and brackets against every delta_g, with its own row
+reduction.
 """
 
 from __future__ import annotations
@@ -106,6 +107,31 @@ def brute_permutation_closure(degree: int, generators, *, table: bool = True):
         if elements[e] not in gens:
             t[:, e] = gen_cols[gi][t[:, parent]]
     return elements, gen_indices, t, inverses
+
+
+def brute_delta(g: FiniteGroup, h: int) -> np.ndarray:
+    """The basis element delta_h of KG."""
+    v = np.zeros(g.order, dtype=np.int64)
+    v[h] = 1
+    return v
+
+
+def brute_multiply(g: FiniteGroup, p: int, x, y) -> np.ndarray:
+    """Convolution product in GF(p)G, (xy)_k = sum over uv = k of
+    x_u y_v, over every pair of nonzero coefficients."""
+    out = [0] * g.order
+    xs = [(u, int(c) % p) for u, c in enumerate(x) if int(c) % p]
+    ys = [(v, int(c) % p) for v, c in enumerate(y) if int(c) % p]
+    for u, a in xs:
+        for v, b in ys:
+            k = g.multiply(u, v)
+            out[k] = (out[k] + a * b) % p
+    return np.array(out)
+
+
+def brute_bracket(g: FiniteGroup, p: int, x, y) -> np.ndarray:
+    """[x, y] = xy - yx."""
+    return (brute_multiply(g, p, x, y) - brute_multiply(g, p, y, x)) % p
 
 
 def brute_rref(rows, p: int, width: int) -> np.ndarray:

@@ -203,6 +203,28 @@ def test_oracle_refused_above_order_limit(tmp_path):
         [[2, message]] * 2
 
 
+@pytest.mark.parametrize("fields,message", [
+    ('"kind": "cyclic", "order": 65536', "cyclic order 65536 is above 4096"),
+    ('"kind": "dihedral", "order": 16384',
+     "dihedral order 16384 is above 4096"),
+    ('"kind": "extraspecial", "p": 37', "extraspecial order 50653 is above"),
+    ('"kind": "permutations", "degree": -1, "generators": []',
+     "permutation degree -1 is negative"),
+])
+def test_oversized_or_negative_entries_exit_2(tmp_path, capsys, monkeypatch,
+                                              fields, message):
+    """Table orders past the table limit and a negative degree give exit
+    2 and one error line, refused before any numpy array is built."""
+    from lienilp import groups
+    monkeypatch.setattr(groups, "np", None)
+    f = tmp_path / "big.jsonl"
+    f.write_text(f'{{"name": "X", {fields}}}\n')
+    rc = main(["analyze", "X", "--prime", "2", "--catalog", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fields,key", [
     ('"kind": "cyclic", "order": [4]', "order"),
     ('"kind": "cyclic", "order": null', "order"),

@@ -31,6 +31,7 @@ from lienilp.groups import (
     direct_product,
     element_order,
     exponent,
+    extraspecial_exponent_p,
     from_multiplication_table,
     from_permutation_generators,
     full_subgroup,
@@ -173,12 +174,49 @@ def test_table_cap(monkeypatch):
         from_multiplication_table([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("build, arg, order", [
+    (cyclic_group, 4097, 4097),
+    (dihedral_group, 4098, 4098),
+    (extraspecial_exponent_p, 17, 4913),
+])
+def test_table_builders_refuse_above_limit(monkeypatch, build, arg, order):
+    """The named table builders refuse the first order above
+    TABLE_BACKING_LIMIT before they build any array: with numpy taken
+    away from the module, the refusal still comes first."""
+    assert order > groups.TABLE_BACKING_LIMIT
+    monkeypatch.setattr(groups, "np", None)
+    with pytest.raises(CapExceededError, match=f"{order} is above 4096"):
+        build(arg)
+
+
 # --- from_permutation_generators ------------------------------------------------
 
 
 def test_empty_generators_trivial():
     g = from_permutation_generators(3, [])
     assert g.order == 1
+
+
+def test_permutation_entries_checked_before_degree_sized_work(monkeypatch):
+    """At degree 2*10^8 no generators give the trivial group and a
+    generator of another length is refused, both at once: nothing of
+    size degree is built.  A range that long would be refused here
+    rather than allocated."""
+    import time
+
+    def short_range(*args):
+        r = range(*args)
+        assert len(r) < 10 ** 6, "built a range of size degree"
+        return r
+    monkeypatch.setattr(groups, "range", short_range, raising=False)
+    start = time.perf_counter()
+    assert from_permutation_generators(2 * 10 ** 8, []).order == 1
+    with pytest.raises(ValueError, match=r"^\(1, 0\) is not a permutation"):
+        from_permutation_generators(2 * 10 ** 8, [[1, 0]])
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="^permutation degree -1 is "
+                                         "negative$"):
+        from_permutation_generators(-1, [])
 
 
 def test_d8_from_permutations():
@@ -479,9 +517,8 @@ def test_direct_product_above_table_limit(built):
         [31250, 625, 125, 25, 5, 1]
 
 
-def _nested_product():
-    return direct_product(dihedral_group(8),
-                          direct_product(quaternion_group8(), cyclic_group(2)))
+def _nested_product(d8, c2):
+    return direct_product(d8, direct_product(quaternion_group8(), c2))
 
 
 def test_product_backing_matches_table(catalog, monkeypatch):
@@ -492,11 +529,17 @@ def test_product_backing_matches_table(catalog, monkeypatch):
     from lienilp.report import analyze
 
     names = [e.name for e in catalog.entries if e.kind == "direct_product"]
-    tables = [catalog.build(n) for n in names] + [_nested_product()]
+    d8, c2 = dihedral_group(8), cyclic_group(2)
+    tables = [catalog.build(n) for n in names] + [_nested_product(d8, c2)]
+    # The cyclic and dihedral factors are built first, at the real
+    # limit: their table builders refuse every order above a lowered one.
+    fresh = Catalog(catalog.entries)
+    for e in catalog.entries:
+        if e.kind in ("cyclic", "dihedral"):
+            fresh.build(e.name)
     with monkeypatch.context() as m:
         m.setattr(groups, "TABLE_BACKING_LIMIT", 1)
-        fresh = Catalog(catalog.entries)
-        products = [fresh.build(n) for n in names] + [_nested_product()]
+        products = [fresh.build(n) for n in names] + [_nested_product(d8, c2)]
     assert products[-1]._factors[1].backing == "product"
     for name, t, g in zip(names + ["D8x(Q8xC2)"], tables, products):
         assert t.backing == "table" and g.backing == "product", name

@@ -32,18 +32,8 @@ from lienilp.dimension import d_vector as series_d_vector, \
     is_lie_nilpotent, series_recursive, upper_index_jennings
 from lienilp.report import analyze
 
-from conftest import brute_ideal_closure, brute_lie_chains, \
-    brute_lower_spans
-
-
-def naive_convolution(g, p, x, y):
-    """Reference product: all |G|^2 coefficient pairs."""
-    out = [0] * g.order
-    for u in range(g.order):
-        for v in range(g.order):
-            out[g.multiply(u, v)] = (out[g.multiply(u, v)]
-                                     + int(x[u]) * int(y[v])) % p
-    return np.array(out)
+from conftest import brute_bracket, brute_delta, brute_ideal_closure, \
+    brute_lie_chains, brute_lower_spans, brute_multiply
 
 
 def contains_all(space, rows):
@@ -62,16 +52,20 @@ def chains(alg):
 
 def test_delta_products(built):
     d8 = built("D8")
-    alg = GroupAlgebra(d8, 2)
     x = np.array([1, 0, 1, 1, 0, 1, 0, 0])
-    assert np.array_equal(alg.multiply(alg.delta(0), x), x)
+    assert np.array_equal(brute_multiply(d8, 2, brute_delta(d8, 0), x), x)
     for g in range(8):
         for h in range(8):
-            prod = alg.multiply(alg.delta(g), alg.delta(h))
-            assert np.array_equal(prod, alg.delta(d8.multiply(g, h)))
+            prod = brute_multiply(d8, 2, brute_delta(d8, g),
+                                  brute_delta(d8, h))
+            assert np.array_equal(prod, brute_delta(d8, d8.multiply(g, h)))
 
 
 def test_multiply_matches_naive(built):
+    """The algebra's coordinate permutations are the convolution:
+    delta_u y is y permuted by _left(u) and x delta_v is x permuted by
+    _right(v), so xy is the sum of x_u delta_u y and of y_v x delta_v,
+    and _brackets gives [x, delta_h]."""
     rng = np.random.default_rng(3)
     for name, p in (("D8", 2), ("H27", 3), ("S3", 5)):
         g = built(name)
@@ -79,28 +73,32 @@ def test_multiply_matches_naive(built):
         for _ in range(5):
             x = rng.integers(0, p, g.order)
             y = rng.integers(0, p, g.order)
-            assert np.array_equal(alg.multiply(x, y),
-                                  naive_convolution(g, p, x, y))
+            xy = brute_multiply(g, p, x, y)
+            assert np.array_equal(sum(x[u] * y[alg._left(u)]
+                                      for u in range(g.order)) % p, xy)
+            assert np.array_equal(sum(y[v] * x[alg._right(v)]
+                                      for v in range(g.order)) % p, xy)
+            h = int(rng.integers(g.order))
+            assert np.array_equal(
+                alg._brackets(x[None], [h])[0] % p,
+                brute_bracket(g, p, x, brute_delta(g, h)))
 
 
 def test_square_of_one_plus_central_involution():
-    c2 = cyclic_group(2)
-    alg = GroupAlgebra(c2, 2)
     v = np.array([1, 1])      # 1 + g with g^2 = 1
-    assert not alg.multiply(v, v).any()
+    assert not brute_multiply(cyclic_group(2), 2, v, v).any()
 
 
 def test_brackets(built):
     d8 = built("D8")
-    alg = GroupAlgebra(d8, 2)
     x = np.array([1, 1, 0, 0, 1, 0, 0, 1])
-    assert not alg.bracket(x, x).any()
+    assert not brute_bracket(d8, 2, x, x).any()
     c4 = cyclic_group(4)
-    ab = GroupAlgebra(c4, 2)
     for g in range(4):
         for h in range(4):
-            assert not ab.bracket(ab.delta(g), ab.delta(h)).any()
-    assert alg.bracket(alg.delta(1), alg.delta(4)).any()
+            assert not brute_bracket(c4, 2, brute_delta(c4, g),
+                                     brute_delta(c4, h)).any()
+    assert brute_bracket(d8, 2, brute_delta(d8, 1), brute_delta(d8, 4)).any()
 
 
 # --- subspaces ------------------------------------------------------------------
@@ -183,10 +181,9 @@ def test_from_vectors_exact_at_large_prime(p):
 def test_algebra_exact_at_large_prime(built, p):
     """KG of an abelian group is Lie nilpotent at every p."""
     g = built("C4xC2")
-    alg = GroupAlgebra(g, p)
-    x = np.full(8, p - 1, dtype=alg.dtype)
-    assert np.array_equal(alg.multiply(x, x), np.full(8, 8))
-    assert chains(alg) == (([8, 0], 2), ([8, 0], 2), [8, 1])
+    x = [p - 1] * 8
+    assert np.array_equal(brute_multiply(g, p, x, x), np.full(8, 8))
+    assert chains(GroupAlgebra(g, p)) == (([8, 0], 2), ([8, 0], 2), [8, 1])
 
 
 # --- ideals ---------------------------------------------------------------------
@@ -194,7 +191,7 @@ def test_algebra_exact_at_large_prime(built, p):
 
 def test_ideal_of_identity_is_everything(built):
     alg = GroupAlgebra(built("D8"), 2)
-    gens = FpSubspace.from_vectors([alg.delta(0)], 2)
+    gens = FpSubspace.from_vectors([brute_delta(alg.group, 0)], 2)
     assert alg.ideal_closure(gens).dim == 8
 
 
@@ -247,7 +244,8 @@ def test_weight_two_powers_coincide(built):
     for name, p in (("D8", 2), ("Q8", 2), ("H27", 3), ("C4xC2", 2)):
         g = built(name)
         alg = GroupAlgebra(g, p)
-        pair_brackets = [alg.bracket(alg.delta(a), alg.delta(b))
+        pair_brackets = [brute_bracket(g, p, brute_delta(g, a),
+                                       brute_delta(g, b))
                          for a in range(g.order) for b in range(a)]
         direct = alg.ideal_closure(
             FpSubspace.from_vectors(pair_brackets or [], p, g.order))
