@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     CatalogParseError,
     NotHomomorphismError,
     UnknownConstructionError,
@@ -138,13 +139,23 @@ class Catalog:
     def _build(self, name: str, stack: tuple[str, ...]) -> FiniteGroup:
         if name in self._built:
             return self._built[name]
+        stack += (name,)
+        chain = " -> ".join(stack)
         if name not in self.by_name:
-            chain = " -> ".join(stack + (name,))
             raise UnresolvedReferenceError(f"unknown entry {chain!r}")
-        if name in stack:
-            chain = " -> ".join(stack + (name,))
+        if name in stack[:-1]:
             raise UnresolvedReferenceError(f"cyclic reference {chain}")
-        group = _construct(self.by_name[name], self, stack + (name,))
+        entry = self.by_name[name]
+        key = {"direct_product": "factors",
+               "semidirect": "parts"}.get(entry.kind)
+        parts = [self._build(n, stack)
+                 for n in (_require(entry, key) if key else ())]
+        try:
+            group = _construct(entry, parts)
+        except (CapExceededError, ValueError) as exc:
+            # The builder's own type, so its callers' handlers still fit.
+            raise type(exc)(f"{exc} (catalog line {entry.line}, entry "
+                            f"{name!r})") from None
         self._built[name] = group
         return group
 
@@ -191,8 +202,8 @@ def _require(entry: CatalogEntry, key: str):
     return value
 
 
-def _construct(entry: CatalogEntry, catalog: Catalog,
-               stack: tuple[str, ...]) -> FiniteGroup:
+def _construct(entry: CatalogEntry, parts: list[FiniteGroup]) -> FiniteGroup:
+    """Build an entry from its fields and its built references."""
     kind = entry.kind
     if kind == "cyclic":
         return cyclic_group(_require(entry, "order"))
@@ -211,22 +222,18 @@ def _construct(entry: CatalogEntry, catalog: Catalog,
         return wreath_cyclic(_require(entry, "p"),
                              _require(entry, "q"))
     if kind == "direct_product":
-        names = _require(entry, "factors")
-        if len(names) < 2:
+        if len(parts) < 2:
             raise CatalogParseError(
                 entry.line, "direct_product needs at least two factors")
-        parts = [catalog._build(n, stack) for n in names]
         out = parts[0]
         for nxt in parts[1:]:
             out = direct_product(out, nxt)
         return out
     if kind == "semidirect":
-        parts = _require(entry, "parts")
         if len(parts) != 2:
             raise CatalogParseError(
                 entry.line, "semidirect needs parts = [normal, acting]")
-        n = catalog._build(parts[0], stack)
-        h = catalog._build(parts[1], stack)
+        n, h = parts
         action = _require(entry, "action")
         if any(int(k) >= h.order for k in action):
             raise CatalogParseError(

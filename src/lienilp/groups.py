@@ -149,15 +149,19 @@ class Subgroup:
                 f"subset of size {len(mem)} cannot be a subgroup of a group "
                 f"of order {parent.order}")
         if not closed:
-            ms = self._member_set
-            for x in mem:
-                if parent.inverse(x) not in ms:
-                    raise ValueError(f"subset not closed under inverse at {x}")
-                for y in mem:
-                    if parent.multiply(x, y) not in ms:
-                        raise ValueError(
-                            f"subset not closed under multiplication at "
-                            f"({x}, {y})")
+            # The first failing x names its inverse before its products.
+            m = np.array(mem)
+            bad_inv = ~np.isin(parent._inverses[m], m)
+            bad_mul = ~np.isin(parent.dense_table()[np.ix_(m, m)], m)
+            bad = np.flatnonzero(bad_inv | bad_mul.any(axis=1))
+            if bad.size:
+                x = bad[0]
+                if bad_inv[x]:
+                    raise ValueError(
+                        f"subset not closed under inverse at {mem[x]}")
+                raise ValueError(
+                    f"subset not closed under multiplication at "
+                    f"({mem[x]}, {mem[bad_mul[x].argmax()]})")
 
     @property
     def order(self) -> int:

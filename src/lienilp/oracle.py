@@ -52,8 +52,8 @@ above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
 and keeps its upper chain, built on first use: the upper indices, the
 chain dimensions and the direct dimension subgroups all read that one
 list.  On a 2-CPU x86-64 machine with one BLAS thread the whole oracle
-at p = 2 takes about 0.25 s for the order-128 D8wrC2, 1.1 s for
-D8wrC2 x C2 (order 256) and 7.4 s for D8wrC2 x C4 (order 512).
+at p = 2 takes about 0.13 s for the order-128 D8wrC2, 0.55 s for
+D8wrC2 x C2 (order 256) and 4.3 s for D8wrC2 x C4 (order 512).
 """
 
 from __future__ import annotations
@@ -72,12 +72,13 @@ from .groups import FiniteGroup, Subgroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 256
 # No algebra is built above this order, whatever analyze's oracle cap,
-# so a forced run fails at once.  At order 512 the chains take 7.4 s
-# and 135 MB on 2 CPUs, each doubling of |G| costs 5.5 to 10 times the
+# so a forced run fails at once.  At order 512 the chains take 4.3 s
+# and 91 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the
 # time, and a kept upper term is |G|^2 float64 (134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
 # floor(x / p) is exact in float64 for integers x below this in magnitude.
 _FLOAT_EXACT = 2 ** 52
+_CHUNK_ROWS = 64
 
 
 def _work_dtype(p: int, width: int):
@@ -96,6 +97,17 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     q = np.floor(x / p)
     q *= p
     return np.subtract(x, q, out=q)
+
+
+def _residues(rows, p: int, work) -> np.ndarray:
+    """Integer rows, or floats holding integers, mod p in the work dtype."""
+    c = np.asarray(rows)
+    if c.dtype.kind == "f" and work is object:
+        c = c.astype(np.int64)      # Python ints below, not floats
+    if c.dtype == work or work is object:
+        return _mod(c.astype(work, copy=False), p)
+    # Reduce other integer input exactly before it turns float.
+    return np.asarray(c % p, dtype=work)
 
 
 class FpSubspace:
@@ -158,59 +170,56 @@ class FpSubspace:
     def reduce(self, candidates) -> np.ndarray:
         """The rows minus their projection onto the span, mod p, on the
         free columns (they are zero on the pivot columns)."""
-        c = np.asarray(candidates)
-        if c.dtype.kind == "f" and self.work is object:
-            c = c.astype(np.int64)      # Python ints below, not floats
-        if c.dtype == self.work or self.work is object:
-            c = _mod(c.astype(self.work, copy=False), self.p)
-        else:
-            # Reduce other integer input exactly before it turns float.
-            c = np.asarray(c % self.p, dtype=self.work)
-        c = c.reshape(-1, self.width)
-        if not self.pivots.size:
-            return c
+        c = _residues(candidates, self.p, self.work).reshape(-1, self.width)
         return _mod(c[:, self.free]
                     - c[:, self.pivots] @ self.basis[:, self.free], self.p)
 
     def absorb(self, candidates) -> np.ndarray:
         """Add the span of the rows; returns reduced rows, in the work
-        dtype, spanning what was new (none when nothing was)."""
-        p, free = self.p, self.free
-        c = self.reduce(candidates)
-        c = c[c.any(axis=1)]
-        fresh, cols = [], []
-        # Take the row with the leftmost leading entry and clear its
-        # column from the rest; the pivots come out in increasing order.
-        while c.shape[0]:
-            lead = (c != 0).argmax(axis=1)
-            pick = int(lead.argmin())
-            col = int(lead[pick])
-            row = _mod(c[pick] * pow(int(c[pick, col]), p - 2, p), p)
-            hit = np.flatnonzero(c[:, col])
-            c[hit] = _mod(c[hit] - np.outer(c[hit, col], row), p)
+        dtype, spanning what was new (none when nothing was).
+
+        Each chunk of _CHUNK_ROWS rows, reduced against the basis so far, is
+        eliminated in rounds: one row per distinct leading column, scaled to
+        a leading 1, is unit upper triangular, I - M, on those columns, and
+        (I + M)(I + M^2)(I + M^4)... = (I - M)^-1 reduces it fully."""
+        p, before = self.p, self.pivots
+        rows = np.asarray(candidates).reshape(-1, self.width)
+        head = self.basis[:, self.free]
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            c = _residues(rows[start:start + _CHUNK_ROWS], p, self.work)
+            c = _mod(c[:, self.free] - c[:, self.pivots] @ head, p)
             c = c[c.any(axis=1)]
-            fresh.append(row)
-            cols.append(col)
-        if not fresh:
-            return np.zeros((0, self.width), dtype=self.work)
-        new_free = np.array(fresh, dtype=self.work)
-        for j in range(len(cols) - 1, 0, -1):
-            hit = np.flatnonzero(new_free[:j, cols[j]])
-            if hit.size:
-                new_free[hit] = _mod(new_free[hit] - np.outer(
-                    new_free[hit, cols[j]], new_free[j]), p)
-        new = np.zeros((len(cols), self.width), dtype=self.work)
-        new[:, free] = new_free
-        cols = free[cols]
-        basis = self.basis
-        if basis[:, cols].any():
-            basis = _mod(basis - basis[:, cols] @ new, p)
-        pivots = np.concatenate([self.pivots, cols])
-        order = np.argsort(pivots, kind="stable")
-        self.basis = np.concatenate([basis, new])[order]
-        self.pivots = pivots[order]
-        self.free = np.setdiff1d(free, cols)
-        return new
+            found, cols = c[:0], np.zeros(0, dtype=np.intp)
+            while c.shape[0]:
+                col, pick = np.unique((c != 0).argmax(axis=1),
+                                      return_index=True)
+                scale = [pow(int(x), p - 2, p) for x in c[pick, col]]
+                r = _mod(c[pick] * np.array(scale, dtype=self.work)[:, None],
+                         p)
+                m = _mod(-np.triu(r[:, col], 1), p)
+                inv = np.eye(len(col), dtype=self.work) + m
+                while (m := _mod(m @ m, p)).any():
+                    inv = _mod(inv + inv @ m, p)
+                r = _mod(inv @ r, p)
+                c = np.delete(c, pick, axis=0)
+                c = _mod(c - c[:, col] @ r, p)
+                c = c[c.any(axis=1)]
+                found = np.vstack([_mod(found - found[:, col] @ r, p), r])
+                cols = np.concatenate([cols, col])
+            if cols.size:
+                new = np.zeros((len(cols), self.width), dtype=self.work)
+                new[:, self.free] = found
+                cols = self.free[cols]
+                basis = self.basis
+                if basis[:, cols].any():
+                    basis = _mod(basis - basis[:, cols] @ new, p)
+                pivots = np.concatenate([self.pivots, cols])
+                order = np.argsort(pivots, kind="stable")
+                self.basis = np.concatenate([basis, new])[order]
+                self.pivots = pivots[order]
+                self.free = np.setdiff1d(self.free, cols)
+                head = self.basis[:, self.free]
+        return np.delete(self.basis, np.searchsorted(self.pivots, before), 0)
 
     def close(self, perms) -> "FpSubspace":
         """Absorb the images of the new rows, the whole basis first,

@@ -8,7 +8,8 @@ closure multiplies one element by one generator at a time in pure
 Python.  The group-algebra reference multiplies by the convolution
 definition in Python integers (exact at every p), closes ideals under
 every delta_g and brackets against every delta_g, with its own row
-reduction.
+reduction.  The reference echelon takes one pivot at a time, exactly,
+with none of the chunks or rounds of the kernel it checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from lienilp.acceptance import analyze_catalog
 from lienilp.catalog import Catalog
 from lienilp.groups import FiniteGroup, commutator
-from lienilp.oracle import DEFAULT_ORACLE_CAP
+from lienilp.oracle import DEFAULT_ORACLE_CAP, FpSubspace
 
 
 def brute_closure(g: FiniteGroup, seed) -> frozenset[int]:
@@ -152,6 +153,37 @@ def brute_rref(rows, p: int, width: int) -> np.ndarray:
         m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
         r += 1
     return m[:r]
+
+
+def reference_echelon(rows, p: int, width: int) -> FpSubspace:
+    """The span of the rows as an FpSubspace, reduced one pivot at a
+    time: take the row with the leftmost leading entry, scale it to a
+    leading 1 and clear its column from the other rows; then clear each
+    pivot column from the rows found before it, last pivot first.  It
+    runs in int64 while a product of residues fits, in Python ints
+    beyond."""
+    dtype = np.int64 if p < 2 ** 31 else object
+    c = np.array(rows, dtype=object).reshape(-1, width) % p
+    c = c.astype(dtype)
+    c = c[c.any(axis=1)]
+    found, cols = [], []
+    while c.shape[0]:
+        lead = (c != 0).argmax(axis=1)
+        pick = int(lead.argmin())
+        col = int(lead[pick])
+        row = c[pick] * pow(int(c[pick, col]), p - 2, p) % p
+        c = (c - np.outer(c[:, col], row)) % p
+        c = c[c.any(axis=1)]
+        found.append(row)
+        cols.append(col)
+    basis = np.array(found, dtype=dtype).reshape(-1, width)
+    for j in range(len(cols) - 1, 0, -1):
+        basis[:j] = (basis[:j] - np.outer(basis[:j, cols[j]], basis[j])) % p
+    space = FpSubspace(p, width)
+    space.basis = basis.astype(space.work)
+    space.pivots = np.array(cols, dtype=np.intp)
+    space.free = np.setdiff1d(space.free, cols)
+    return space
 
 
 def _brute_perms(g: FiniteGroup) -> tuple[list, list]:

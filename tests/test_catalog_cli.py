@@ -225,6 +225,23 @@ def test_oversized_or_negative_entries_exit_2(tmp_path, capsys, monkeypatch,
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["scan", "analyze"])
+def test_builder_refusal_names_its_entry(tmp_path, capsys, command):
+    """A builder's refusal names the catalog entry and line it came from,
+    also when another entry references it, in one error line."""
+    f = tmp_path / "big.jsonl"
+    f.write_text('{"kind": "cyclic", "name": "C2", "order": 2}\n'
+                 '{"kind": "cyclic", "name": "Big", "order": 65536}\n'
+                 '{"kind": "direct_product", "name": "X", '
+                 '"factors": ["C2", "Big"]}\n')
+    argv = [command] + (["X"] if command == "analyze" else [])
+    rc = main(argv + ["--prime", "2", "--catalog", str(f)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("error: cyclic order 65536 is above 4096, the largest "
+                   "order built as a table (catalog line 2, entry 'Big')\n")
+
+
 @pytest.mark.parametrize("fields,key", [
     ('"kind": "cyclic", "order": [4]', "order"),
     ('"kind": "cyclic", "order": null', "order"),

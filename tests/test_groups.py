@@ -389,6 +389,32 @@ def test_d8xd8_derived_type_against_brute_force():
     assert abelian_invariants(sub) == AbelianType((2, 2))
 
 
+# In D8 as built, 1 and 3 are the rotations of order 4, 2 is their
+# square and 4..7 are the reflections.
+
+
+@pytest.mark.parametrize("members,message", [
+    ((0, 1), "subset not closed under inverse at 1"),
+    ((3, 0), "subset not closed under inverse at 3"),
+])
+def test_subset_not_closed_under_inverse(members, message):
+    """Each x is checked in turn, its inverse before its products: 1 * 1
+    leaves {0, 1} too, but the missing inverse is named."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Subgroup(dihedral_group(8), members)
+
+
+@pytest.mark.parametrize("members,message", [
+    ((0, 4, 5, 6), r"subset not closed under multiplication at \(4, 5\)"),
+    ((0, 2, 3, 4), r"subset not closed under multiplication at \(2, 3\)"),
+])
+def test_subset_not_closed_under_multiplication(members, message):
+    """The first failing pair in row-major order is named; in {0, 2, 3,
+    4} it comes before 3, whose inverse 1 is missing."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Subgroup(dihedral_group(8), members)
+
+
 def test_semidirect_trivial_action_equals_direct_product():
     c4, c2 = cyclic_group(4), cyclic_group(2)
     trivial_action = [list(range(4)), list(range(4))]

@@ -33,7 +33,7 @@ from lienilp.dimension import d_vector as series_d_vector, \
 from lienilp.report import analyze
 
 from conftest import brute_bracket, brute_delta, brute_ideal_closure, \
-    brute_lie_chains, brute_lower_spans, brute_multiply
+    brute_lie_chains, brute_lower_spans, brute_multiply, reference_echelon
 
 
 def contains_all(space, rows):
@@ -147,6 +147,47 @@ def _random_rows(p, count, width, seed):
     rng = np.random.default_rng(seed)
     return [[int(x) % p for x in rng.integers(0, 2 ** 62, width)]
             for _ in range(count)]
+
+
+def _block(kind, rows, width, p, rng):
+    """A seeded candidate block of one of four shapes, entries in [0, p),
+    in Python ints at the large primes."""
+    dtype = np.int64 if p < 100 else object
+    draw = lambda *shape: rng.integers(0, p, shape).astype(dtype)
+    if kind == "random":
+        return draw(rows, width)
+    if kind == "rank_deficient":
+        rank = min(rows, width) - 7
+        return draw(rows, rank) @ draw(rank, width) % p
+    if kind == "duplicates":
+        pool = draw(rows // 2 + 1, width)
+        return pool[rng.integers(0, len(pool), rows)]
+    # One shared lead: row i is a nonzero multiple of e_0 + e_(1 + i).
+    block = np.zeros((rows, width), dtype=dtype)
+    block[:, 0] = 1
+    block[np.arange(rows), 1 + np.arange(rows) % (width - 1)] = 1
+    return block * rng.integers(1, p, (rows, 1)).astype(dtype)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5] + LARGE_PRIMES)
+@pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicates",
+                                  "shared_lead"])
+def test_absorb_matches_reference_echelon(p, kind):
+    """The chunked, round-wise elimination gives the subspace of the
+    one-pivot-at-a-time reference, on blocks shorter than, as long as
+    and longer than a chunk, and absorbing in several calls gives the
+    same subspace as absorbing in one.  The large primes reduce in
+    Python integers, which are slow, so they run narrower."""
+    rng = np.random.default_rng([p % 1000, len(kind)])
+    width = 80 if p < 100 else 24
+    for rows in (63, 64, 65, 130):
+        block = _block(kind, rows, width, p, rng)
+        space = FpSubspace.from_vectors(block, p)
+        assert space == reference_echelon(block, p, width), (rows, kind)
+        parts = FpSubspace(p, width)
+        for piece in np.array_split(block, [1, 40, 41, 100]):
+            parts.absorb(piece)
+        assert parts == space, (rows, kind)
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
