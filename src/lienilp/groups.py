@@ -1,7 +1,7 @@
 """Finite group arithmetic on integer element indices.
 
 Every group enumerates its elements as 0..order-1 with the identity at
-index 0.  Small groups carry a dense multiplication table.  Larger ones
+index 0.  Small groups carry a dense int16 multiplication table.  Larger ones
 have one of two backings: a permutation closure (built a breadth-first
 level at a time) stores each element as a permutation of a finite set
 and multiplies by composition and an index lookup; a direct product
@@ -33,6 +33,9 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 65536
 TABLE_BACKING_LIMIT = 4096
+# The one dtype of dense tables: entries lie below the order, and order <=
+# TABLE_BACKING_LIMIT <= 2**15, so int16 holds them at half int32's bytes.
+TABLE_DTYPE = np.int16
 
 
 def _check_cap(order: int, what: str) -> None:
@@ -70,7 +73,7 @@ class FiniteGroup:
         self._perm_index = None
         self._factors = None
         if table is not None:
-            self._table = np.ascontiguousarray(table, dtype=np.int32)
+            self._table = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
             self.order = int(self._table.shape[0])
             if inverses is None:
                 # Each row is a permutation, so its 0 is its minimum.
@@ -341,25 +344,25 @@ def from_multiplication_table(table) -> FiniteGroup:
 
     The identity is relocated to index 0 when necessary.  Raises
     NotAssociativeError / NoIdentityError / NoInverseError naming the
-    violating triple or element, and CapExceededError past
-    DEFAULT_ORDER_CAP.
+    violating triple or element, and CapExceededError for more than
+    TABLE_BACKING_LIMIT rows, before any array of the table is built.
     """
+    _check_table(len(table), "table order")
     t = np.asarray(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("multiplication table must be square")
     n = t.shape[0]
     if n == 0:
         raise ValueError("multiplication table must be nonempty")
-    _check_cap(n, "table order")
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must lie in [0, order)")
-    # In range, so int32 holds every entry: each step below, and the
-    # group, work on this one copy.
-    t = t.astype(np.int32)
+    # In range, so TABLE_DTYPE holds every entry: each step below, and
+    # the group, work on this one copy.
+    t = t.astype(TABLE_DTYPE)
 
     e = _find_identity(t)
     if e != 0:
-        perm = np.arange(n, dtype=np.int32)
+        perm = np.arange(n, dtype=TABLE_DTYPE)
         perm[0], perm[e] = e, 0
         t = perm[t[np.ix_(perm, perm)]]
 
@@ -442,15 +445,16 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
 
     # Row e is left multiplication by e: the generators' rows are looked
     # up, and every other e = parent * g has row T[parent, T[g, :]].
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     table[0] = np.arange(n)
     table[1:k + 1] = number(gen_arr[:, perms].reshape(k * n, degree)
                             ).reshape(k, n)
     del index, perms
     found = np.concatenate(found).tolist()
+    rows = table[1:k + 1].astype(np.intp)  # cast once, not at every take
     for e in range(k + 1, n):
         parent, j = divmod(found[e], k)
-        table[parent].take(table[j + 1], out=table[e])
+        table[parent].take(rows[j], out=table[e], mode="clip")
     return FiniteGroup(table=table, inverses=inverses,
                        generators=range(1, k + 1))
 
@@ -471,8 +475,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
     if order > TABLE_BACKING_LIMIT:
         return FiniteGroup(factors=(a, b), generators=gens)
-    # int32 throughout: entries stay below order <= TABLE_BACKING_LIMIT.
-    t = (a.dense_table()[:, None, :, None] * np.int32(nb)
+    # TABLE_DTYPE throughout: entries stay below the order.
+    t = (a.dense_table()[:, None, :, None] * TABLE_DTYPE(nb)
          + b.dense_table()[None, :, None, :])
     return FiniteGroup(table=t.reshape(order, order), generators=gens)
 
@@ -527,12 +531,12 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action) -> FiniteGroup:
                 raise NotHomomorphismError(
                     f"action is not multiplicative at the pair ({j}, {k})")
 
-    # int32 throughout: entries stay below order <= TABLE_BACKING_LIMIT.
+    # TABLE_DTYPE throughout: entries stay below the order.
     nh = h.order
-    table = np.empty((order, order), dtype=np.int32)
+    table = np.empty((order, order), dtype=TABLE_DTYPE)
     for j1 in range(nh):
         twisted = tn[:, acts[j1]]                     # n1 * act(h1)(n2)
-        block = twisted[:, :, None] * np.int32(nh) + th[j1][None, None, :]
+        block = twisted[:, :, None] * TABLE_DTYPE(nh) + th[j1][None, None, :]
         table[j1::nh] = block.reshape(n.order, order)  # rows (n1, h1)
     gens = tuple(g * nh for g in n.generators) + tuple(h.generators)
     return FiniteGroup(table=table, generators=gens)
@@ -559,7 +563,7 @@ def cyclic_group(order: int) -> FiniteGroup:
     if order < 1:
         raise ValueError("order must be positive")
     _check_table(order, "cyclic order")
-    i = np.arange(order, dtype=np.int32)
+    i = np.arange(order, dtype=TABLE_DTYPE)
     table = (i[:, None] + i[None, :]) % order
     gens = (1,) if order > 1 else ()
     return FiniteGroup(table=table, generators=gens)
@@ -571,7 +575,7 @@ def dihedral_group(order: int) -> FiniteGroup:
         raise ValueError("dihedral order must be even and at least 2")
     _check_table(order, "dihedral order")
     m = order // 2
-    i = np.arange(order, dtype=np.int32)
+    i = np.arange(order, dtype=TABLE_DTYPE)
     r, f = i % m, i // m
     r1, r2 = r[:, None], r[None, :]
     f1, f2 = f[:, None], f[None, :]
@@ -599,7 +603,7 @@ def extraspecial_exponent_p(p: int) -> FiniteGroup:
         raise ValueError("p must be an odd prime")
     order = p ** 3
     _check_table(order, "extraspecial order")
-    i = np.arange(order, dtype=np.int32)
+    i = np.arange(order, dtype=TABLE_DTYPE)
     a, rem = np.divmod(i, p * p)
     b, c = np.divmod(rem, p)
     a1, a2 = a[:, None], a[None, :]
@@ -757,10 +761,10 @@ def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
             for m in n.members:
                 proj[g.multiply(x, m)] = c
     if g._table is not None:
-        parr = np.asarray(proj, dtype=np.int32)
+        parr = np.asarray(proj, dtype=TABLE_DTYPE)
         table = parr[g._table[np.ix_(reps, reps)]]
     else:
-        table = np.empty((q, q), dtype=np.int32)
+        table = np.empty((q, q), dtype=TABLE_DTYPE)
         for c1, r1 in enumerate(reps):
             for c2, r2 in enumerate(reps):
                 table[c1, c2] = proj[g.multiply(r1, r2)]
@@ -793,6 +797,9 @@ def product_of_subgroups(*subs: Subgroup) -> Subgroup:
 def is_abelian_subgroup(h: Subgroup) -> bool:
     g = h.parent
     gens = h.generators
+    if g._table is not None:
+        block = g._table[np.ix_(gens, gens)]
+        return bool((block == block.T).all())
     return all(g.multiply(s, t) == g.multiply(t, s)
                for s in gens for t in gens)
 
@@ -807,8 +814,7 @@ def abelian_invariants(h: Subgroup) -> AbelianType:
         raise NotAbelianError("subgroup is not abelian")
     if h.order == 1:
         return AbelianType(())
-    g = h.parent
-    orders = [element_order(g, x) for x in h.members]
+    orders = _member_orders(h)
     factors: list[int] = []
     for p in _factorize(h.order):
         p_orders = [o for o in orders if _p_log(o, p) is not None]
@@ -830,9 +836,27 @@ def abelian_invariants(h: Subgroup) -> AbelianType:
     return AbelianType(tuple(sorted(factors, reverse=True)))
 
 
-def exponent(h: Subgroup) -> int:
+def _member_orders(h: Subgroup) -> list[int]:
+    """The order of every member of h.  On a table all members step at
+    once, one gather per power (x^(k+1) = T[x^k, x]), each dropped when
+    it reaches the identity; other backings multiply one at a time."""
     g = h.parent
-    return math.lcm(*(element_order(g, x) for x in h.members))
+    if g._table is None:
+        return [element_order(g, x) for x in h.members]
+    x = np.array(h.members)
+    orders, live, cur, xs, k = np.ones_like(x), np.arange(len(x)), x, x, 1
+    while live.size:
+        done = cur == 0
+        if done.any():
+            orders[live[done]] = k
+            live, cur, xs = live[~done], cur[~done], xs[~done]
+        k += 1
+        cur = g._table[cur, xs]
+    return orders.tolist()
+
+
+def exponent(h: Subgroup) -> int:
+    return math.lcm(*_member_orders(h))
 
 
 def is_p_group(h: Subgroup, p: int) -> bool:

@@ -189,6 +189,41 @@ def test_table_builders_refuse_above_limit(monkeypatch, build, arg, order):
         build(arg)
 
 
+def test_multiplication_table_refused_before_conversion(monkeypatch):
+    """A table of more than TABLE_BACKING_LIMIT rows is refused before
+    it is converted: with numpy taken away from the module, the refusal
+    still comes first.  The rows are one shared list, so nothing of size
+    order^2 exists."""
+    monkeypatch.setattr(groups, "np", None)
+    with pytest.raises(CapExceededError,
+                       match="^table order 4097 is above 4096"):
+        from_multiplication_table([[0]] * 4097)
+
+
+# --- table storage ------------------------------------------------------------
+
+
+def test_table_dtype_holds_every_index():
+    assert groups.TABLE_DTYPE == np.int16
+    assert groups.TABLE_BACKING_LIMIT <= np.iinfo(np.int16).max + 1
+
+
+def test_tables_stored_as_int16(catalog):
+    """Every table-backed catalog group, and the order-4096 closure at
+    the table limit, stores an int16 table whose largest entry is the
+    last element index."""
+    from pathlib import Path
+    big = Catalog.load(Path(__file__).parent / "data" / "table4096.jsonl")
+    tables = [catalog.build(e.name) for e in catalog.entries]
+    tables = [g for g in tables if g.backing == "table"]
+    tables.append(big.build("Syl2S16o4096"))
+    assert len(tables) > 20 and tables[-1].order == 4096
+    for g in tables:
+        table = g.dense_table()
+        assert table.dtype == np.int16, g
+        assert int(table.max()) == g.order - 1, g
+
+
 # --- from_permutation_generators ------------------------------------------------
 
 
@@ -448,8 +483,8 @@ def test_semidirect_rejects_non_homomorphism():
 
 
 def _int64_semidirect_table(n, h, action):
-    """The table as semidirect_product used to build it: int64 copies of
-    both factor tables and an int64 result, cast to int32 at the end."""
+    """The table as semidirect_product once built it: int64 copies of
+    both factor tables and an int64 result."""
     tn = n.dense_table().astype(np.int64)
     th = h.dense_table().astype(np.int64)
     acts = [np.asarray(action[j], dtype=np.int64) for j in range(h.order)]
@@ -458,11 +493,11 @@ def _int64_semidirect_table(n, h, action):
     for j1 in range(nh):
         block = tn[:, acts[j1]][:, :, None] * nh + th[j1][None, None, :]
         table[np.arange(n.order) * nh + j1] = block.reshape(n.order, -1)
-    return table.astype(np.int32)
+    return table
 
 
 def test_semidirect_table_matches_int64_construction(monkeypatch):
-    """The int32 build gives the same table as the int64 one on the two
+    """The int16 build gives the same table as the int64 one on the two
     catalog semidirect products and on (D8 x C4)^2 x| C2 (order 2048,
     swap action)."""
     from lienilp import catalog as catalog_module
@@ -484,9 +519,9 @@ def test_semidirect_table_matches_int64_construction(monkeypatch):
     groups_built.append(semidirect_product(*calls[-1]))
     for g, (n, h, action) in zip(groups_built, calls):
         table = g.dense_table()
-        assert table.dtype == np.int32
+        assert table.dtype == np.int16
         assert table.tobytes() == \
-            _int64_semidirect_table(n, h, action).tobytes()
+            _int64_semidirect_table(n, h, action).astype(np.int16).tobytes()
     assert groups_built[-1].order == 2048
 
 
@@ -761,6 +796,35 @@ def test_abelian_invariants(built):
     assert abelian_invariants(derived).factors == (2, 2, 2)
     with pytest.raises(NotAbelianError):
         abelian_invariants(full_subgroup(built("D8")))
+
+
+def test_bulk_orders_on_a_table_make_no_scalar_products(monkeypatch):
+    """Exponent and abelian invariants of the full C4096 step all
+    members through the table at once, never through multiply."""
+    c4096 = cyclic_group(4096)
+
+    def refuse(*args):
+        raise AssertionError("scalar multiply on a table-backed group")
+    monkeypatch.setattr(groups.FiniteGroup, "multiply", refuse)
+    full = full_subgroup(c4096)
+    assert exponent(full) == 4096
+    assert abelian_invariants(full) == AbelianType((4096,))
+
+
+def test_bulk_orders_match_element_order(catalog):
+    """Bulk member orders equal element_order, member by member, on
+    every table-backed catalog group and its derived subgroup."""
+    checked = 0
+    for entry in catalog.entries:
+        g = catalog.build(entry.name)
+        if g.backing != "table":
+            continue
+        for h in (full_subgroup(g), *lower_central_series(g)[1:2]):
+            want = [element_order(g, x) for x in h.members]
+            assert groups._member_orders(h) == want, entry.name
+            assert exponent(h) == np.lcm.reduce(want), entry.name
+        checked += 1
+    assert checked > 20
 
 
 def test_exponent_element_order_p_group(built):
