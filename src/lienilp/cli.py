@@ -1,16 +1,18 @@
 """Command line interface: analyze | scan | selftest.
 
-Exit codes: 0 success, 2 build/usage error (including a --prime that
-is not a prime, and a group the analysis cannot handle, such as the
-oracle forced onto a group with no dense table or of order above
-1024), 3 internal consistency failure (a cross-check mismatch or a
-failed acceptance criterion).
+Exit codes: 0 success, 1 standard output closed before everything was
+written (as by ``| head``; no traceback), 2 build/usage error (including
+a --prime that is not a prime, and a group the analysis cannot handle,
+such as the oracle forced onto a group with no dense table or of order
+above 1024), 3 internal consistency failure (a cross-check mismatch or
+a failed acceptance criterion).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .acceptance import run_all
@@ -22,6 +24,7 @@ from .oracle import DEFAULT_ORACLE_CAP, ORACLE_ORDER_LIMIT
 from .report import LieReport, analyze, render_text
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_BUILD = 2
 EXIT_CONSISTENCY = 3
 
@@ -204,7 +207,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUILD
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "selftest": cmd_selftest}[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

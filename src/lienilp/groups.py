@@ -817,10 +817,9 @@ def abelian_invariants(h: Subgroup) -> AbelianType:
     orders = _member_orders(h)
     factors: list[int] = []
     for p in _factorize(h.order):
-        p_orders = [o for o in orders if _p_log(o, p) is not None]
-        max_e = max(_p_log(o, p) for o in p_orders)
-        cum = [sum(1 for o in p_orders if _p_log(o, p) <= k)
-               for k in range(max_e + 1)]
+        logs = [e for e in (_p_log(o, p) for o in orders) if e is not None]
+        cum = np.cumsum(np.bincount(logs)).tolist()
+        max_e = len(cum) - 1
         exps = []
         for count in cum:
             e = _p_log(count, p)

@@ -9,9 +9,12 @@ the independent check for the subgroup-series formulas.
 All row reduction goes through one subspace type, FpSubspace: a fully
 reduced basis, kept in the work dtype, that absorbs blocks of candidate
 rows and closes under coordinate permutations.  Its arithmetic is exact
-for every p: it runs in float64, with BLAS products, only while (p-1)^2
-times (width + 1) stays below 2^52, so every value it forms is an exact
-float64 integer, and in Python integers otherwise.
+for every p: it runs with BLAS products in float32 while (p-1)^2 times
+(width + 1) stays below 2^23 (every p <= 89 up to width 1024), in float64
+while it stays below 2^52, so every value it forms is an exact float
+integer, and in Python integers otherwise.  Products are reduced mod p
+only after whole dot products, the delayed reduction of FFLAS-FFPACK
+(Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
 Most of the work runs over the stored generators S of G rather than all
 of G, by two identities of the algebra itself:
@@ -37,10 +40,11 @@ element per conjugacy class instead:
   ideals, closing under conjugation by every delta_s is enough.
 
 One loop builds both chains.  From KG, each next term is the span of
-the brackets of the last term's basis with each block of group
-elements (all generators in one block for the upper chain, one block
-per non-central class representative for the lower), closed under
-left and right multiplication, resp. conjugation, by the generators.
+the brackets of the last term's basis with a list of group elements
+(the generators for the upper chain, one representative per
+non-central class for the lower), gathered for as many elements at a
+time as fill about one chunk of rows, and closed under left and right
+multiplication, resp. conjugation, by the generators.
 Terms are nested, so within |G| + 1 terms a chain reaches 0 or repeats
 a dimension and stops; a repeat above 0 raises NoConvergenceError.
 Nothing here reads dimension subgroups, a lower central series or a
@@ -52,8 +56,8 @@ above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
 and keeps its upper chain, built on first use: the upper indices, the
 chain dimensions and the direct dimension subgroups all read that one
 list.  On a 2-CPU x86-64 machine with one BLAS thread the whole oracle
-at p = 2 takes about 0.13 s for the order-128 D8wrC2, 0.55 s for
-D8wrC2 x C2 (order 256) and 4.3 s for D8wrC2 x C4 (order 512).
+at p = 2 takes about 0.05 s for the order-128 D8wrC2, 0.24 s for
+D8wrC2 x C2 (order 256) and 1.1 to 1.4 s for D8wrC2 x C4 (order 512).
 """
 
 from __future__ import annotations
@@ -70,23 +74,27 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup, subgroup_generated
 
-DEFAULT_ORACLE_CAP = 256
+DEFAULT_ORACLE_CAP = 512
 # No algebra is built above this order, whatever analyze's oracle cap,
-# so a forced run fails at once.  At order 512 the chains take 4.3 s
-# and 91 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the
-# time, and a kept upper term is |G|^2 float64 (134 MB at order 4096).
+# so a forced run fails at once.  At order 512 the chains take 1.1 to
+# 1.4 s and 61 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the
+# time, and a kept upper term is |G|^2 floats of 4 or 8 bytes (67 or
+# 134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
-# floor(x / p) is exact in float64 for integers x below this in magnitude.
-_FLOAT_EXACT = 2 ** 52
-_CHUNK_ROWS = 64
+# (dtype, bound), narrowest first: every integer x below the bound in
+# magnitude, and floor(x / p) computed in the dtype for an integer p
+# below it, is exact there.
+_FLOAT_TIERS = ((np.float32, 2 ** 23), (np.float64, 2 ** 52))
+_CHUNK_ROWS = 256
 
 
 def _work_dtype(p: int, width: int):
-    """Row reduction dtype: float64 (BLAS) while every value it forms,
-    below (p-1)^2 times (width + 1) in magnitude, is exact; Python ints
-    beyond."""
-    if (p - 1) ** 2 * (width + 1) < _FLOAT_EXACT:
-        return np.float64
+    """Row reduction dtype: the narrowest float (BLAS) in which every
+    value it forms, below (p-1)^2 times (width + 1) in magnitude, is
+    exact; Python ints beyond."""
+    for dtype, bound in _FLOAT_TIERS:
+        if (p - 1) ** 2 * (width + 1) < bound:
+            return dtype
     return object
 
 
@@ -100,8 +108,14 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _residues(rows, p: int, work) -> np.ndarray:
-    """Integer rows, or floats holding integers, mod p in the work dtype."""
+    """Integer rows, or floats holding integers, in the work dtype with
+    entries in (-p, p), which keeps every value the reduction forms below
+    (p-1)^2 times (width + 1): taken mod p, unless they are rows of a
+    float work dtype already inside (-p, p), such as brackets."""
     c = np.asarray(rows)
+    if c.dtype == work and work is not object and (
+            not c.size or (c.min() > -p and c.max() < p)):
+        return c
     if c.dtype.kind == "f" and work is object:
         c = c.astype(np.int64)      # Python ints below, not floats
     if c.dtype == work or work is object:
@@ -272,10 +286,12 @@ class GroupAlgebra:
 
     def _brackets(self, basis: np.ndarray, elements) -> np.ndarray:
         """The rows [b, delta_g] for every basis row b and listed g, in
-        (-p, p) and the dtype of the basis."""
-        blocks = [basis[:, self._right(g)] - basis[:, self._left(g)]
+        (-p, p) and the dtype of the basis.  They are gathered as rows of
+        the transposed basis, which is faster than gathering columns."""
+        cols = basis.T.copy()
+        blocks = [cols[self._right(g)] - cols[self._left(g)]
                   for g in elements]
-        return np.vstack(blocks or [basis[:0]])
+        return np.hstack(blocks or [cols[:, :0]]).T
 
     def full_space(self) -> FpSubspace:
         """KG itself: every column a pivot, the identity its basis."""
@@ -289,24 +305,27 @@ class GroupAlgebra:
         right multiplication by the generators, hence by all of G."""
         return span.copy().close(self._sides)
 
-    def _lie_powers(self, blocks, perms):
+    def _lie_powers(self, elements, perms):
         """A Lie power chain: KG, then each term the brackets of the last
-        one's basis with each block of elements, closed under perms,
-        until a term is 0 or repeats the dimension before it."""
+        one's basis with every listed element, closed under perms, until
+        a term is 0 or repeats the dimension before it.  Brackets are
+        gathered for as many elements at a time as fill about one chunk."""
         term, before = self.full_space(), None
         yield term
         while term.dim and term.dim != before:
             nxt = FpSubspace(self.p, self.n)
-            for block in blocks:
-                nxt.absorb(self._brackets(term.basis, block))
+            step = max(1, _CHUNK_ROWS // term.dim)
+            for start in range(0, len(elements), step):
+                nxt.absorb(self._brackets(term.basis,
+                                          elements[start:start + step]))
             before, term = term.dim, nxt.close(perms)
             yield term
 
     @cached_property
     def _upper(self) -> list[FpSubspace]:
         """The upper Lie powers: each term is the ideal generated by the
-        brackets of the one before with the generators, in one block."""
-        return list(self._lie_powers([self._gens], self._sides))
+        brackets of the one before with the generators."""
+        return list(self._lie_powers(self._gens, self._sides))
 
 
 def upper_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
@@ -338,7 +357,7 @@ def _lower_spans(algebra: GroupAlgebra):
                           & (conj != np.arange(n)).any(axis=0))
     # x[:, conj[s]] is x conjugated by delta_s^-1; the s^-1 generate G.
     perms = [conj[s] for s in algebra._gens]
-    return algebra._lie_powers([(g,) for g in reps], perms)
+    return algebra._lie_powers(reps, perms)
 
 
 def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:

@@ -392,3 +392,23 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t_upper_jennings"] == 3
+
+
+def test_closed_stdout_exits_without_traceback():
+    """A reader that closes the pipe before any output arrives (as
+    ``| head`` does once it has enough) ends the run with exit code 1
+    and nothing on stderr.  The child is still importing when the pipe
+    closes, so every write meets a closed pipe."""
+    import subprocess
+    import sys
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lienilp.cli", "analyze", "D8wrC2",
+         "--prime", "2", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode == 1

@@ -23,6 +23,7 @@ from lienilp.oracle import (
     FpSubspace,
     GroupAlgebra,
     _lower_spans,
+    _work_dtype,
     dimension_series_direct,
     dimension_subgroup_direct,
     lower_lie_powers,
@@ -150,12 +151,14 @@ def _random_rows(p, count, width, seed):
 
 
 def _block(kind, rows, width, p, rng):
-    """A seeded candidate block of one of four shapes, entries in [0, p),
+    """A seeded candidate block of one of five shapes, entries in [0, p),
     in Python ints at the large primes."""
-    dtype = np.int64 if p < 100 else object
+    dtype = np.int64 if p < 2 ** 31 else object
     draw = lambda *shape: rng.integers(0, p, shape).astype(dtype)
     if kind == "random":
         return draw(rows, width)
+    if kind == "extreme":       # the largest products: entries p-1, p-2
+        return rng.integers(0, 2, (rows, width)).astype(dtype) + (p - 2)
     if kind == "rank_deficient":
         rank = min(rows, width) - 7
         return draw(rows, rank) @ draw(rank, width) % p
@@ -169,17 +172,25 @@ def _block(kind, rows, width, p, rng):
     return block * rng.integers(1, p, (rows, 1)).astype(dtype)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5] + LARGE_PRIMES)
+# The width each prime's echelon test runs at: 181 at the widest space
+# that still reduces in float32, the large primes, which reduce in
+# Python integers and are slow, narrower.
+ECHELON_WIDTHS = {2: 80, 3: 80, 5: 80, 181: 257,
+                  **{p: 24 for p in LARGE_PRIMES}}
+
+
+@pytest.mark.parametrize("p", list(ECHELON_WIDTHS))
 @pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicates",
-                                  "shared_lead"])
-def test_absorb_matches_reference_echelon(p, kind):
+                                  "shared_lead", "extreme"])
+def test_absorb_matches_reference_echelon(monkeypatch, p, kind):
     """The chunked, round-wise elimination gives the subspace of the
     one-pivot-at-a-time reference, on blocks shorter than, as long as
     and longer than a chunk, and absorbing in several calls gives the
-    same subspace as absorbing in one.  The large primes reduce in
-    Python integers, which are slow, so they run narrower."""
+    same subspace as absorbing in one.  Chunks are cut to 64 rows to
+    keep the reference fast."""
+    monkeypatch.setattr("lienilp.oracle._CHUNK_ROWS", 64)
     rng = np.random.default_rng([p % 1000, len(kind)])
-    width = 80 if p < 100 else 24
+    width = ECHELON_WIDTHS[p]
     for rows in (63, 64, 65, 130):
         block = _block(kind, rows, width, p, rng)
         space = FpSubspace.from_vectors(block, p)
@@ -188,6 +199,29 @@ def test_absorb_matches_reference_echelon(p, kind):
         for piece in np.array_split(block, [1, 40, 41, 100]):
             parts.absorb(piece)
         assert parts == space, (rows, kind)
+
+
+@pytest.mark.parametrize("p, width, work", [
+    (2, 1024, np.float32), (5, 1024, np.float32),
+    (181, 257, np.float32), (181, 258, np.float64),
+    (8191, 2, np.float64),
+    (8191, 67_141_643, np.float64), (8191, 67_141_644, object),
+    *((p, 1, object) for p in LARGE_PRIMES)])
+def test_work_dtype_tiers(p, width, work):
+    """The narrowest dtype in which (p-1)^2 (width + 1) stays below its
+    exact bound, 2^23 for float32 and 2^52 for float64: at 181,
+    180^2 * 258 = 8359200 < 2^23 < 180^2 * 259."""
+    assert _work_dtype(p, width) is work
+
+
+def test_dependent_pairs_at_a_float64_prime():
+    """[[1, a], [b, ab mod p]] has rank 1.  At p = 8191 the products of
+    residues pass 2^24, so in float32 the second row would often fail to
+    reduce to zero and the rank would come out 2."""
+    p = 8191
+    rng = np.random.default_rng(p)
+    for a, b in rng.integers(1, p, (600, 2)).tolist():
+        assert FpSubspace.from_vectors([[1, a], [b, a * b % p]], p).dim == 1
 
 
 @pytest.mark.parametrize("p", LARGE_PRIMES)
