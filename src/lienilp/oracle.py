@@ -56,8 +56,8 @@ above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
 and keeps its upper chain, built on first use: the upper indices, the
 chain dimensions and the direct dimension subgroups all read that one
 list.  On a 2-CPU x86-64 machine with one BLAS thread the whole oracle
-at p = 2 takes about 0.05 s for the order-128 D8wrC2, 0.24 s for
-D8wrC2 x C2 (order 256) and 1.1 to 1.4 s for D8wrC2 x C4 (order 512).
+at p = 2 takes about 0.06 s for the order-128 D8wrC2, 0.22 s for
+D8wrC2 x C2 (order 256) and 1.1 s for D8wrC2 x C4 (order 512).
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ from .groups import FiniteGroup, Subgroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 512
 # No algebra is built above this order, whatever analyze's oracle cap,
-# so a forced run fails at once.  At order 512 the chains take 1.1 to
-# 1.4 s and 61 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the
+# so a forced run fails at once.  At order 512 the chains take 1.1 s
+# and 63 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the
 # time, and a kept upper term is |G|^2 floats of 4 or 8 bytes (67 or
 # 134 MB at order 4096).
 ORACLE_ORDER_LIMIT = 1024
@@ -108,14 +108,8 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _residues(rows, p: int, work) -> np.ndarray:
-    """Integer rows, or floats holding integers, in the work dtype with
-    entries in (-p, p), which keeps every value the reduction forms below
-    (p-1)^2 times (width + 1): taken mod p, unless they are rows of a
-    float work dtype already inside (-p, p), such as brackets."""
+    """Integer rows, or floats holding integers, mod p in the work dtype."""
     c = np.asarray(rows)
-    if c.dtype == work and work is not object and (
-            not c.size or (c.min() > -p and c.max() < p)):
-        return c
     if c.dtype.kind == "f" and work is object:
         c = c.astype(np.int64)      # Python ints below, not floats
     if c.dtype == work or work is object:
@@ -284,11 +278,11 @@ class GroupAlgebra:
         """x -> x * delta_g permutes coordinates by h -> h g^-1."""
         return self._table[:, self._inv[g]]
 
-    def _brackets(self, basis: np.ndarray, elements) -> np.ndarray:
+    def _brackets(self, cols: np.ndarray, elements) -> np.ndarray:
         """The rows [b, delta_g] for every basis row b and listed g, in
-        (-p, p) and the dtype of the basis.  They are gathered as rows of
-        the transposed basis, which is faster than gathering columns."""
-        cols = basis.T.copy()
+        (-p, p) and the dtype of the basis, given the basis transposed
+        (one row per coordinate): gathering its rows is faster than
+        gathering the basis's columns."""
         blocks = [cols[self._right(g)] - cols[self._left(g)]
                   for g in elements]
         return np.hstack(blocks or [cols[:, :0]]).T
@@ -314,10 +308,9 @@ class GroupAlgebra:
         yield term
         while term.dim and term.dim != before:
             nxt = FpSubspace(self.p, self.n)
-            step = max(1, _CHUNK_ROWS // term.dim)
+            cols, step = term.basis.T.copy(), max(1, _CHUNK_ROWS // term.dim)
             for start in range(0, len(elements), step):
-                nxt.absorb(self._brackets(term.basis,
-                                          elements[start:start + step]))
+                nxt.absorb(self._brackets(cols, elements[start:start + step]))
             before, term = term.dim, nxt.close(perms)
             yield term
 
@@ -348,8 +341,9 @@ def _lower_spans(algebra: GroupAlgebra):
 
     Each step brackets a basis of the previous span with one
     representative of each non-central conjugacy class (basis elements
-    suffice by multilinearity), one block per class, and closes the
-    result under conjugation by the generators."""
+    suffice by multilinearity), the representatives passed as one flat
+    list that _lie_powers brackets about one chunk of rows at a time, and
+    closes the result under conjugation by the generators."""
     table, inv = algebra._table, algebra._inv
     n = algebra.n
     conj = table[table, inv[:, None]]      # conj[h, g] = h g h^-1

@@ -20,6 +20,7 @@ from lienilp.groups import (
     wreath_cyclic,
 )
 from lienilp.oracle import (
+    _CHUNK_ROWS,
     FpSubspace,
     GroupAlgebra,
     _lower_spans,
@@ -81,7 +82,7 @@ def test_multiply_matches_naive(built):
                                       for v in range(g.order)) % p, xy)
             h = int(rng.integers(g.order))
             assert np.array_equal(
-                alg._brackets(x[None], [h])[0] % p,
+                alg._brackets(x[:, None], [h])[0] % p,
                 brute_bracket(g, p, x, brute_delta(g, h)))
 
 
@@ -153,7 +154,7 @@ def _random_rows(p, count, width, seed):
 def _block(kind, rows, width, p, rng):
     """A seeded candidate block of one of five shapes, entries in [0, p),
     in Python ints at the large primes."""
-    dtype = np.int64 if p < 2 ** 31 else object
+    dtype = object if p in LARGE_PRIMES else np.int64
     draw = lambda *shape: rng.integers(0, p, shape).astype(dtype)
     if kind == "random":
         return draw(rows, width)
@@ -177,6 +178,9 @@ def _block(kind, rows, width, p, rng):
 # Python integers and are slow, narrower.
 ECHELON_WIDTHS = {2: 80, 3: 80, 5: 80, 181: 257,
                   **{p: 24 for p in LARGE_PRIMES}}
+# At 181 the one-pivot reference is slow on blocks of several 256-row
+# chunks at width 257, so that case runs with 64-row chunks.
+ECHELON_CHUNKS = {181: 64}
 
 
 @pytest.mark.parametrize("p", list(ECHELON_WIDTHS))
@@ -186,15 +190,17 @@ def test_absorb_matches_reference_echelon(monkeypatch, p, kind):
     """The chunked, round-wise elimination gives the subspace of the
     one-pivot-at-a-time reference, on blocks shorter than, as long as
     and longer than a chunk, and absorbing in several calls gives the
-    same subspace as absorbing in one.  Chunks are cut to 64 rows to
-    keep the reference fast."""
-    monkeypatch.setattr("lienilp.oracle._CHUNK_ROWS", 64)
+    same subspace as absorbing in one."""
+    chunk = ECHELON_CHUNKS.get(p, _CHUNK_ROWS)
+    monkeypatch.setattr("lienilp.oracle._CHUNK_ROWS", chunk)
     rng = np.random.default_rng([p % 1000, len(kind)])
     width = ECHELON_WIDTHS[p]
-    for rows in (63, 64, 65, 130):
+    for rows in (chunk - 1, chunk, chunk + 1, 2 * chunk + 2):
         block = _block(kind, rows, width, p, rng)
         space = FpSubspace.from_vectors(block, p)
         assert space == reference_echelon(block, p, width), (rows, kind)
+        if kind == "rank_deficient":
+            assert space.dim == min(rows, width) - 7, rows
         parts = FpSubspace(p, width)
         for piece in np.array_split(block, [1, 40, 41, 100]):
             parts.absorb(piece)
