@@ -11,7 +11,6 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    element_order,
     exponent,
     extraspecial_exponent_p,
     from_multiplication_table,

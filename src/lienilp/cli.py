@@ -66,10 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sc)
 
     p_st = subs.add_parser("selftest", help="run the acceptance suite")
-    p_st.add_argument("--catalog", metavar="FILE")
+    p_st.add_argument("--catalog", metavar="FILE",
+                      help="catalog file (defaults to the shipped one)")
     p_st.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
-                      metavar="N")
-    p_st.add_argument("--json", action="store_true")
+                      metavar="N",
+                      help="oracle cap: the criteria that read the "
+                           "group-algebra oracle check only the catalog "
+                           "groups of order up to N (default "
+                           f"{DEFAULT_ORACLE_CAP})")
+    p_st.add_argument("--json", action="store_true",
+                      help="emit machine-readable JSON")
     return parser
 
 

@@ -6,14 +6,18 @@ have one of two backings: a permutation closure (built a breadth-first
 level at a time) stores each element as a permutation of a finite set
 and multiplies by composition and an index lookup; a direct product
 stores its two factors and multiplies componentwise on the codes
-i * |b| + j.  Groups and subgroups are immutable after construction, so
-all operations here are pure functions.
+i * |b| + j.  The subgroup machinery runs on ``FiniteGroup.products``
+alone, which multiplies index arrays on every backing.  Groups and
+subgroups are immutable after construction, so all operations here are
+pure functions.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,21 +109,32 @@ class FiniteGroup:
             return a.multiply(ia, ja) * b.order + b.multiply(ib, jb)
         return self._perm_index[self._perms[i].take(self._perms[j]).tobytes()]
 
+    def products(self, i, j) -> np.ndarray:
+        """The products i[k] * j[k] of index arrays broadcast together;
+        permutation rows are looked up 4096 at a time, as in the closure."""
+        if self._table is not None:
+            return self._table[i, j]
+        if self._factors is not None:
+            a, b = self._factors
+            ia, ib = np.divmod(i, b.order)
+            ja, jb = np.divmod(j, b.order)
+            return (a.products(ia, ja).astype(np.int64, copy=False) * b.order
+                    + b.products(ib, jb))
+        i, j = np.broadcast_arrays(i, j)
+        out = np.empty(i.shape, dtype=np.int64)
+        flat, i, j = out.reshape(-1), i.ravel(), j.ravel()
+        width = np.dtype((np.void, self._perms[0].nbytes))
+        for s in range(0, flat.size, 4096):
+            # Row k is x -> i(j(x)), as in multiply.
+            rows = np.take_along_axis(self._perms[i[s:s + 4096]],
+                                      self._perms[j[s:s + 4096]], axis=1)
+            keys = rows.view(width).ravel().tolist()
+            flat[s:s + 4096] = np.fromiter(
+                map(self._perm_index.__getitem__, keys), np.int64, len(keys))
+        return out
+
     def inverse(self, i: int) -> int:
         return int(self._inverses[i])
-
-    def power(self, x: int, k: int) -> int:
-        result, base = 0, x
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return result
-
-    def conjugate(self, x: int, t: int) -> int:
-        """t^-1 * x * t."""
-        return self.multiply(self.inverse(t), self.multiply(x, t))
 
     def dense_table(self) -> np.ndarray:
         if self._table is None:
@@ -297,29 +312,33 @@ def _find_identity(table: np.ndarray) -> int:
     raise NoIdentityError()
 
 
-def _table_closure(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
-    """Mask of the elements reached from the identity by right
-    multiplication with the generators, a breadth-first level at a
-    time: the left-normed products of generators."""
-    mask = np.zeros(table.shape[0], dtype=bool)
-    mask[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    gens = np.asarray(gens, dtype=np.intp)
-    while frontier.size and gens.size:
-        prods = np.unique(table[np.ix_(frontier, gens)])
-        frontier = prods[~mask[prods]]
-        mask[frontier] = True
-    return mask
+def _closure(g: FiniteGroup, seeds: Iterable[int], mask=None, gens=None
+             ) -> tuple[np.ndarray, list[int]]:
+    """Mask of the left-normed products of the seeds, grown from a mask
+    closed under right multiplication by ``gens``: a seed not yet
+    reached joins ``gens``, the members so far are multiplied by it and
+    the new ones by every generator, a breadth-first level at a time."""
+    if mask is None:
+        mask, gens = np.arange(g.order) == 0, []
+    for s in seeds:
+        if mask[s]:
+            continue
+        gens.append(int(s))
+        frontier, step = np.flatnonzero(mask), np.array([s])
+        while frontier.size:
+            prods = g.products(frontier[:, None], step)
+            frontier = np.unique(prods[~mask[prods]])
+            mask[frontier] = True
+            step = np.array(gens)
+    return mask, gens
 
 
-def _greedy_generators(table: np.ndarray) -> tuple[int, ...]:
+def _greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     """Add the least element not yet reached until the left-normed
     products of the generators reach every element."""
-    gens: list[int] = []
-    covered = _table_closure(table, gens)
-    while not covered.all():
-        gens.append(int(covered.argmin()))
-        covered = _table_closure(table, gens)
+    mask, gens = _closure(g, ())
+    while not mask.all():
+        _closure(g, [int(mask.argmin())], mask, gens)
     return tuple(gens)
 
 
@@ -366,11 +385,12 @@ def from_multiplication_table(table) -> FiniteGroup:
         perm[0], perm[e] = e, 0
         t = perm[t[np.ix_(perm, perm)]]
 
-    gens = _greedy_generators(t)
+    unchecked = FiniteGroup(table=t)  # its inverses are checked below
+    gens = _greedy_generators(unchecked)
     _check_associative_light(t, gens)
 
     # A finite monoid now: the first 0 of a row is a two-sided inverse.
-    inverses = t.argmin(axis=1)
+    inverses = unchecked._inverses
     idx = np.arange(n)
     bad = (t[idx, inverses] != 0) | (t[inverses, idx] != 0)
     if bad.any():
@@ -620,18 +640,10 @@ def extraspecial_exponent_p(p: int) -> FiniteGroup:
 # --------------------------------------------------------------------------
 
 
-def commutator(g: FiniteGroup, x: int, y: int) -> int:
-    """(x, y) = x^-1 y^-1 x y."""
-    return g.multiply(g.multiply(g.inverse(x), g.inverse(y)),
-                      g.multiply(x, y))
-
-
-def element_order(g: FiniteGroup, x: int) -> int:
-    k, cur = 1, x
-    while cur != 0:
-        cur = g.multiply(cur, x)
-        k += 1
-    return k
+def commutator(g: FiniteGroup, x, y) -> np.ndarray:
+    """(x, y) = x^-1 y^-1 x y over index arrays broadcast together."""
+    inv = g._inverses
+    return g.products(g.products(inv[x], inv[y]), g.products(x, y))
 
 
 # --------------------------------------------------------------------------
@@ -650,52 +662,43 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 def subgroup_generated(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the given elements."""
     seeds = sorted({int(x) for x in gens} - {0})
-    if not seeds:
-        return trivial_subgroup(g)
-    if g._table is not None:
-        members = np.flatnonzero(_table_closure(g._table, seeds)).tolist()
-    else:
-        members_set = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seeds:
-                    prod = g.multiply(x, s)
-                    if prod not in members_set:
-                        members_set.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        members = sorted(members_set)
-    return Subgroup(g, members, seeds, closed=True)
+    mask, _ = _closure(g, seeds)
+    return Subgroup(g, np.flatnonzero(mask).tolist(), seeds, closed=True)
+
+
+def _conjugates(g: FiniteGroup, x: np.ndarray) -> np.ndarray:
+    """t^-1 x t for every generator t (rows) and every x (columns)."""
+    t = np.array(g.generators, dtype=np.intp)[:, None]
+    return g.products(g._inverses[t], g.products(x[None, :], t))
 
 
 def normal_closure(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of g containing the seed elements."""
+    """Smallest normal subgroup of g containing the seed elements.
+
+    Each round conjugates only the generators the last round added: the
+    conjugates of the earlier ones already lie in the closure."""
     gens = sorted({int(x) for x in seeds} - {0})
-    if not gens:
-        return trivial_subgroup(g)
-    sub = subgroup_generated(g, gens)
-    while True:
-        added = []
-        for t in g.generators:
-            for s in gens:
-                c = g.conjugate(s, t)
-                if c not in sub and c not in added:
-                    added.append(c)
-        if not added:
-            return Subgroup(g, sub.members, gens, closed=True)
+    mask, kept = _closure(g, gens)
+    added = gens
+    while added:
+        conj = _conjugates(g, np.array(added, dtype=np.intp)).ravel()
+        added = list(dict.fromkeys(conj[~mask[conj]].tolist()))
         gens.extend(added)
-        sub = subgroup_generated(g, gens)
+        _closure(g, added, mask, kept)
+    return Subgroup(g, np.flatnonzero(mask).tolist(), gens, closed=True)
 
 
 def is_normal(h: Subgroup) -> tuple[bool, tuple[int, int] | None]:
+    """Whether every generator conjugates h into itself; the first
+    failure, generator-major, is the witness (x, t)."""
     g = h.parent
-    for t in g.generators:
-        for x in h.members:
-            if g.conjugate(x, t) not in h:
-                return False, (x, t)
-    return True, None
+    x = np.array(h.members, dtype=np.intp)
+    mask = np.zeros(g.order, dtype=bool)
+    mask[x] = True
+    t, k = np.nonzero(~mask[_conjugates(g, x)])
+    if not t.size:
+        return True, None
+    return False, (h.members[k[0]], g.generators[t[0]])
 
 
 def commutator_subgroup(h: Subgroup, g: FiniteGroup) -> Subgroup:
@@ -707,9 +710,9 @@ def commutator_subgroup(h: Subgroup, g: FiniteGroup) -> Subgroup:
     """
     if h.parent is not g:
         raise ValueError("subgroup does not belong to the given group")
-    seeds = {commutator(g, s, t)
-             for s in h.generators for t in g.generators}
-    return normal_closure(g, seeds)
+    seeds = commutator(g, np.array(h.generators, dtype=np.intp)[:, None],
+                       np.array(g.generators, dtype=np.intp))
+    return normal_closure(g, seeds.ravel().tolist())
 
 
 @functools.lru_cache(maxsize=256)
@@ -735,10 +738,10 @@ def nilpotency_class(g: FiniteGroup) -> int:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    members = [z for z in range(g.order)
-               if all(g.multiply(z, t) == g.multiply(t, z)
-                      for t in g.generators)]
-    return Subgroup(g, members, closed=True)
+    z = np.arange(g.order)[:, None]
+    t = np.array(g.generators, dtype=np.intp)
+    central = (g.products(z, t) == g.products(t, z)).all(axis=1)
+    return Subgroup(g, np.flatnonzero(central).tolist(), closed=True)
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
@@ -776,9 +779,20 @@ def power_subgroup(h: Subgroup, q: int) -> Subgroup:
     """Subgroup generated by the q-th powers of all members of h."""
     if q < 1:
         raise ValueError("exponent must be positive")
-    g = h.parent
-    seeds = {g.power(x, q) for x in h.members}
-    return subgroup_generated(g, seeds)
+    powers = _powers(h.parent, np.array(h.members, dtype=np.intp), q)
+    return subgroup_generated(h.parent, np.unique(powers).tolist())
+
+
+def _powers(g: FiniteGroup, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for every x of an index array, by square and multiply."""
+    result = np.zeros_like(x)
+    while True:
+        if k & 1:
+            result = g.products(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = g.products(x, x)
 
 
 def product_of_subgroups(*subs: Subgroup) -> Subgroup:
@@ -795,13 +809,9 @@ def product_of_subgroups(*subs: Subgroup) -> Subgroup:
 
 
 def is_abelian_subgroup(h: Subgroup) -> bool:
-    g = h.parent
-    gens = h.generators
-    if g._table is not None:
-        block = g._table[np.ix_(gens, gens)]
-        return bool((block == block.T).all())
-    return all(g.multiply(s, t) == g.multiply(t, s)
-               for s in gens for t in gens)
+    s = np.array(h.generators, dtype=np.intp)
+    block = h.parent.products(s[:, None], s)
+    return bool((block == block.T).all())
 
 
 def abelian_invariants(h: Subgroup) -> AbelianType:
@@ -814,43 +824,37 @@ def abelian_invariants(h: Subgroup) -> AbelianType:
         raise NotAbelianError("subgroup is not abelian")
     if h.order == 1:
         return AbelianType(())
-    orders = _member_orders(h)
+    orders = Counter(_member_orders(h))
     factors: list[int] = []
     for p in _factorize(h.order):
-        logs = [e for e in (_p_log(o, p) for o in orders) if e is not None]
-        cum = np.cumsum(np.bincount(logs)).tolist()
-        max_e = len(cum) - 1
-        exps = []
-        for count in cum:
-            e = _p_log(count, p)
-            if e is None:
-                raise NotAbelianError(
-                    "order statistics are not p-power sized; subgroup is "
-                    "not an abelian p-group")
-            exps.append(e)
-        ranks = [exps[k] - exps[k - 1] for k in range(1, max_e + 1)]
-        ranks.append(0)
-        for k in range(1, max_e + 1):
+        logs = {_p_log(o, p): count for o, count in orders.items()}
+        logs.pop(None, None)
+        # |{x : x^(p^k) = 1}| = p^exps[k]; ranks[k] factors exceed p^k.
+        exps = [_p_log(n, p) for n in itertools.accumulate(
+            logs.get(e, 0) for e in range(max(logs) + 1))]
+        if None in exps:
+            raise NotAbelianError(
+                "order statistics are not p-power sized; subgroup is "
+                "not an abelian p-group")
+        ranks = [b - a for a, b in zip(exps, exps[1:])] + [0]
+        for k in range(1, len(ranks)):
             factors.extend([p ** k] * (ranks[k - 1] - ranks[k]))
     return AbelianType(tuple(sorted(factors, reverse=True)))
 
 
 def _member_orders(h: Subgroup) -> list[int]:
-    """The order of every member of h.  On a table all members step at
-    once, one gather per power (x^(k+1) = T[x^k, x]), each dropped when
-    it reaches the identity; other backings multiply one at a time."""
+    """The order of every member of h, all at once, a prime q of
+    |h| = q^a m (q not dividing m) at a time: y = x^m has the q-part of
+    x's order, q^k for the least k with y^(q^k) = 1."""
     g = h.parent
-    if g._table is None:
-        return [element_order(g, x) for x in h.members]
-    x = np.array(h.members)
-    orders, live, cur, xs, k = np.ones_like(x), np.arange(len(x)), x, x, 1
-    while live.size:
-        done = cur == 0
-        if done.any():
-            orders[live[done]] = k
-            live, cur, xs = live[~done], cur[~done], xs[~done]
-        k += 1
-        cur = g._table[cur, xs]
+    x = np.array(h.members, dtype=np.intp)
+    orders = np.ones_like(x)
+    for q, a in _factorize(h.order).items():
+        live, y = np.arange(len(x)), _powers(g, x, h.order // q ** a)
+        while live.size:
+            live, y = live[y != 0], y[y != 0]
+            orders[live] *= q
+            y = _powers(g, y, q)
     return orders.tolist()
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's own algorithms:
 closures iterate all pairwise products to a fixed point, and commutator
 subgroups enumerate every commutator pair, so they stay independent of
-the generator-based implementations they check.  The permutation
+the generator-based implementations they check; element orders step one
+scalar product at a time.  The permutation
 closure multiplies one element by one generator at a time in pure
 Python.  The group-algebra reference multiplies by the convolution
 definition in Python integers (exact at every p), closes ideals under
@@ -19,7 +20,7 @@ import pytest
 
 from lienilp.acceptance import analyze_catalog
 from lienilp.catalog import Catalog
-from lienilp.groups import FiniteGroup, commutator
+from lienilp.groups import FiniteGroup
 from lienilp.oracle import DEFAULT_ORACLE_CAP, FpSubspace
 
 
@@ -34,9 +35,19 @@ def brute_closure(g: FiniteGroup, seed) -> frozenset[int]:
         current = nxt
 
 
+def element_order(g: FiniteGroup, x: int) -> int:
+    """Order of x by scalar products, one power at a time."""
+    k, cur = 1, x
+    while cur != 0:
+        cur = g.multiply(cur, x)
+        k += 1
+    return k
+
+
 def brute_commutator_subgroup(g: FiniteGroup, h_members) -> frozenset[int]:
     """Closure of every commutator (x, y) with x in h, y anywhere."""
-    comms = {commutator(g, x, y)
+    inv = g.inverse
+    comms = {g.multiply(g.multiply(inv(x), inv(y)), g.multiply(x, y))
              for x in h_members for y in range(g.order)}
     return brute_closure(g, comms)
 

@@ -14,6 +14,7 @@ from lienilp.errors import (
     UnresolvedReferenceError,
 )
 from lienilp.groups import full_subgroup, is_abelian_subgroup
+from lienilp.oracle import DEFAULT_ORACLE_CAP
 
 REQUIRED_ENTRIES = {"C2", "C4", "C2xC2", "D8", "Q8", "C4xC2", "D8xD8",
                     "C2wrC4", "H27", "C3wrC3", "H125", "S3"}
@@ -381,6 +382,18 @@ def test_library_analyze_rejects_non_prime(built, prime):
     from lienilp.report import analyze
     with pytest.raises(NotPrimeError, match=f"got {prime}$"):
         analyze(built("D8"), prime)
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "selftest"])
+def test_every_option_explained(capsys, command):
+    """Each command's --help explains every option and prints the
+    default oracle cap."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for option in ("--catalog FILE", "--cap N", "--json"):
+        assert f"{option} " in text and f"{option} --" not in text, option
+    assert f"(default {DEFAULT_ORACLE_CAP})" in text
 
 
 def test_console_script_entry():

@@ -1,10 +1,12 @@
 """Group construction, subgroup machinery, and structural invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import brute_closure, brute_commutator_subgroup, \
-    brute_lower_central, brute_permutation_closure
+    brute_lower_central, brute_permutation_closure, element_order
 
 from lienilp import groups
 from lienilp.catalog import Catalog
@@ -21,6 +23,7 @@ from lienilp.errors import (
 )
 from lienilp.groups import (
     AbelianType,
+    FiniteGroup,
     Subgroup,
     abelian_invariants,
     center,
@@ -29,7 +32,6 @@ from lienilp.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    element_order,
     exponent,
     extraspecial_exponent_p,
     from_multiplication_table,
@@ -139,9 +141,10 @@ def test_light_gets_every_greedy_generator(built, monkeypatch, name):
     monkeypatch.setattr(groups, "_check_associative_light", record)
     table = built(name).dense_table().astype(np.int64)
     from_multiplication_table(table)
-    gens = groups._greedy_generators(table)
+    g = FiniteGroup(table=table)
+    gens = groups._greedy_generators(g)
     assert received == [gens]
-    assert groups._table_closure(table, gens).all()
+    assert groups._closure(g, gens)[0].all()
 
 
 def test_light_checks_past_the_first_generator():
@@ -151,7 +154,7 @@ def test_light_checks_past_the_first_generator():
     bits = [(x >> 2 & 1, x >> 1 & 1) for x in range(8)]
     table = [[x ^ y ^ (bits[x][0] & bits[y][0] & bits[y][1])
               for y in range(8)] for x in range(8)]
-    assert groups._greedy_generators(np.array(table)) == (1, 2, 4)
+    assert groups._greedy_generators(FiniteGroup(table=table)) == (1, 2, 4)
     with pytest.raises(NotAssociativeError) as err:
         from_multiplication_table(table)
     assert err.value.triple == (4, 2, 4)
@@ -632,7 +635,7 @@ def test_commutator_in_d8():
     a, b = 1, 4
     assert element_order(d8, a) == 4
     assert element_order(d8, b) == 2
-    assert d8.conjugate(a, b) == d8.inverse(a)
+    assert d8.products(d8.inverse(b), d8.products(a, b)) == d8.inverse(a)
     assert commutator(d8, a, b) == d8.multiply(a, a)
 
 
@@ -811,9 +814,63 @@ def test_bulk_orders_on_a_table_make_no_scalar_products(monkeypatch):
     assert abelian_invariants(full) == AbelianType((4096,))
 
 
-def test_bulk_orders_match_element_order(catalog):
+def _backings(built):
+    """A table, a permutation closure (C5wrC5), a product of tables and
+    a product whose factor is itself a product over a permutation
+    closure."""
+    c2 = cyclic_group(2)
+    return [built("D8wrC2"), built("C5wrC5"),
+            direct_product(built("D8wrC2"), built("C2wrC4")),
+            direct_product(c2, direct_product(built("C5wrC5"), c2))]
+
+
+def test_products_match_multiply(built):
+    """products equals multiply pair by pair on every backing, past the
+    4096-row chunk of the permutation lookup, and broadcasts its index
+    arrays."""
+    rng = np.random.default_rng(3)
+    backed = _backings(built)
+    assert [g.backing for g in backed] == \
+        ["table", "permutation", "product", "product"]
+    assert backed[3]._factors[1].backing == "product"
+    for g in backed:
+        i, j = rng.integers(0, g.order, (2, 5000))
+        assert g.products(i, j).tolist() == \
+            [g.multiply(x, y) for x, y in zip(i.tolist(), j.tolist())]
+        block = g.products(i[:7, None], j[:5])
+        assert block.tolist() == [[g.multiply(x, y) for y in j[:5].tolist()]
+                                  for x in i[:7].tolist()], g.backing
+
+
+def test_analyze_makes_no_scalar_products(monkeypatch):
+    """Above a lowered table limit, analyze runs on bulk products alone:
+    a product-backed abelian group and a permutation-backed wreath
+    product analyse as their table-backed builds with multiply refused."""
+    from lienilp.report import analyze
+
+    def build():
+        return [(direct_product(cyclic_group(8), cyclic_group(4)), 2),
+                (wreath_cyclic(2, 4), 2), (wreath_cyclic(3, 3), 3)]
+
+    want = [analyze(g, p, run_oracle=False).to_json_dict()
+            for g, p in build()]
+
+    def refuse(*args):
+        raise AssertionError("scalar multiply during analyze")
+    monkeypatch.setattr(groups, "TABLE_BACKING_LIMIT", 16)
+    big = build()
+    assert [g.backing for g, _ in big] == \
+        ["product", "permutation", "permutation"]
+    monkeypatch.setattr(groups.FiniteGroup, "multiply", refuse)
+    assert [analyze(g, p, run_oracle=False).to_json_dict()
+            for g, p in big] == want
+
+
+def test_bulk_orders_match_element_order(catalog, built):
     """Bulk member orders equal element_order, member by member, on
-    every table-backed catalog group and its derived subgroup."""
+    every table-backed catalog group and its derived subgroup, and on
+    sampled members of the permutation- and product-backed groups of
+    test_products_match_multiply."""
     checked = 0
     for entry in catalog.entries:
         g = catalog.build(entry.name)
@@ -825,6 +882,13 @@ def test_bulk_orders_match_element_order(catalog):
             assert exponent(h) == np.lcm.reduce(want), entry.name
         checked += 1
     assert checked > 20
+    rng = np.random.default_rng(7)
+    for g in _backings(built)[1:]:
+        # Members of g: the order of g stands in for that of a subgroup.
+        members = [0, *rng.choice(g.order, 300, replace=False).tolist()]
+        sample = SimpleNamespace(parent=g, members=members, order=g.order)
+        assert groups._member_orders(sample) == \
+            [element_order(g, x) for x in members], g.backing
 
 
 def test_exponent_element_order_p_group(built):
