@@ -3,10 +3,10 @@
 
 The brute-force oracle is quadratic-space in |G| and stops near order
 128.  The subgroup-series route only touches group elements, so it
-handles the order-2048 wreath product (dense table), the order-15625
-one (permutation backing, no table at all) and the order-65536 direct
-product C2wrC8 x C8 x C4 (product backing: each factor multiplies on
-its own) in well under a second each, build included.
+handles the order-2048 and order-15625 wreath products (permutation
+backing, no table at all) and the order-65536 direct product
+C2wrC8 x C8 x C4 (product backing: each factor multiplies on its own)
+in well under a second each, build included.
 
     python3 scripts/jennings_at_scale.py
 """
@@ -47,10 +47,10 @@ def profile(title: str, p: int, build) -> None:
 
 def main() -> int:
     for p, q in ((2, 4),    # oracle-sized reference point
-                 (2, 8),    # order 2048: table backing, oracle far out of reach
-                 (5, 5)):   # order 15625: permutation backing only
+                 (2, 8),    # order 2048: above the oracle's limit, no table
+                 (5, 5)):   # order 15625: permutation backing
         profile(f"wreath C{p} wr C{q}", p, lambda: wreath_cyclic(p, q))
-    # order 65536: product backing over a table-backed wreath factor
+    # order 65536: product backing over a permutation-backed wreath factor
     profile("product C2wrC8 x C8 x C4", 2, lambda: direct_product(
         direct_product(wreath_cyclic(2, 8), cyclic_group(8)),
         cyclic_group(4)))

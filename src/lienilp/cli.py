@@ -19,8 +19,8 @@ from .acceptance import run_all
 from .catalog import Catalog
 from .classify import corollary_sharpness
 from .errors import LieNilpError, NoWitnessFoundError
-from .groups import is_prime
-from .oracle import DEFAULT_ORACLE_CAP, ORACLE_ORDER_LIMIT
+from .groups import ORACLE_ORDER_LIMIT, is_prime
+from .oracle import DEFAULT_ORACLE_CAP
 from .report import LieReport, analyze, render_text
 
 EXIT_OK = 0

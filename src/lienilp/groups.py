@@ -1,15 +1,17 @@
 """Finite group arithmetic on integer element indices.
 
 Every group enumerates its elements as 0..order-1 with the identity at
-index 0.  Small groups carry a dense int16 multiplication table.  Larger ones
-have one of two backings: a permutation closure (built a breadth-first
-level at a time) stores each element as a permutation of a finite set
-and multiplies by composition and an index lookup; a direct product
-stores its two factors and multiplies componentwise on the codes
-i * |b| + j.  The subgroup machinery runs on ``FiniteGroup.products``
-alone, which multiplies index arrays on every backing.  Groups and
-subgroups are immutable after construction, so all operations here are
-pure functions.
+index 0.  Small groups carry a dense int16 multiplication table: every
+group up to ORACLE_ORDER_LIMIT, where the oracle reads it, and groups
+built from tables up to TABLE_BACKING_LIMIT.  The others have one of two
+backings: a permutation closure (built a breadth-first level at a time)
+stores each element as a permutation of a finite set and multiplies by
+composition and an index lookup; a direct product stores its two
+factors and multiplies componentwise on the codes i * |b| + j.  The
+subgroup machinery runs on ``FiniteGroup.products`` alone, which
+multiplies index arrays on every backing.  Groups and subgroups are
+immutable after construction (a subgroup keeps its member orders once
+computed), so all operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 65536
 TABLE_BACKING_LIMIT = 4096
+# No group algebra is built above this order, whatever analyze's oracle
+# cap, so a forced run fails at once: at order 512 the chains take 1.1 s
+# and 63 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the time,
+# and a kept upper term is |G|^2 floats of 4 or 8 bytes.  Only the oracle
+# needs a dense table, so permutation closures fill one only up to this
+# order.  Above it the |G|^2 table (32 MB at order 4096) would cost more
+# to fill than the formula route gains from it.
+ORACLE_ORDER_LIMIT = 1024
 # The one dtype of dense tables: entries lie below the order, and order <=
 # TABLE_BACKING_LIMIT <= 2**15, so int16 holds them at half int32's bytes.
 TABLE_DTYPE = np.int16
@@ -120,18 +130,23 @@ class FiniteGroup:
             ja, jb = np.divmod(j, b.order)
             return (a.products(ia, ja).astype(np.int64, copy=False) * b.order
                     + b.products(ib, jb))
-        i, j = np.broadcast_arrays(i, j)
-        out = np.empty(i.shape, dtype=np.int64)
-        flat, i, j = out.reshape(-1), i.ravel(), j.ravel()
-        width = np.dtype((np.void, self._perms[0].nbytes))
-        for s in range(0, flat.size, 4096):
-            # Row k is x -> i(j(x)), as in multiply.
-            rows = np.take_along_axis(self._perms[i[s:s + 4096]],
-                                      self._perms[j[s:s + 4096]], axis=1)
-            keys = rows.view(width).ravel().tolist()
-            flat[s:s + 4096] = np.fromiter(
-                map(self._perm_index.__getitem__, keys), np.int64, len(keys))
-        return out
+        i, j = np.asarray(i), np.asarray(j)
+        shape = np.broadcast(i, j).shape
+        if math.prod(shape) <= 4096:
+            return self._lookup(i, j).reshape(shape)
+        i, j = (np.broadcast_to(x, shape).ravel() for x in (i, j))
+        return np.concatenate([self._lookup(i[s:s + 4096], j[s:s + 4096])
+                               for s in range(0, i.size, 4096)]).reshape(shape)
+
+    def _lookup(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Element numbers of the permutation products i * j, flattened."""
+        perms, degree = self._perms, self._perms.shape[1]
+        # Row k is x -> i(j(x)), as in multiply: one gather from the
+        # flat rows.
+        rows = perms.ravel().take(perms[j] + (i * degree)[..., None])
+        keys = rows.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
+        return np.fromiter(map(self._perm_index.__getitem__, keys),
+                           np.int64, len(keys))
 
     def inverse(self, i: int) -> int:
         return int(self._inverses[i])
@@ -150,7 +165,7 @@ class FiniteGroup:
 class Subgroup:
     """An element-index subset of a parent group, closed under its operations."""
 
-    __slots__ = ("parent", "members", "generators", "_member_set")
+    __slots__ = ("parent", "members", "generators", "_member_set", "_orders")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int],
                  generators: Iterable[int] = (), *, closed: bool = False):
@@ -160,6 +175,7 @@ class Subgroup:
         gens = tuple(int(x) for x in generators)
         self.generators = gens if gens else tuple(x for x in mem if x != 0)
         self._member_set = frozenset(mem)
+        self._orders = None
         if not mem or mem[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
         if parent.order % len(mem) != 0:
@@ -194,6 +210,12 @@ class Subgroup:
 
     def member_set(self) -> frozenset[int]:
         return self._member_set
+
+    def member_orders(self) -> list[int]:
+        """The order of every member, computed on first use and kept."""
+        if self._orders is None:
+            self._orders = _member_orders(self)
+        return self._orders
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
@@ -409,9 +431,10 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     Element 0 is the identity and elements 1..k are the generators, less
     the identity and repeats; the closure goes on breadth first, each
     element numbered as first found as e * g, e in order, then g in
-    order.  Groups whose order stays within TABLE_BACKING_LIMIT are
-    materialised as dense tables; bigger closures keep the permutation
-    backing: the int32 rows and one index keyed by their bytes.
+    order.  Groups whose order stays within ORACLE_ORDER_LIMIT are
+    materialised as dense tables, which the oracle reads; bigger
+    closures keep the permutation backing: the int32 rows and one index
+    keyed by their bytes.
     """
     if degree < 0:
         raise ValueError(f"permutation degree {degree} is negative")
@@ -459,7 +482,7 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     inverses = np.empty_like(perms)
     inverses[np.arange(n)[:, None], perms] = np.arange(degree)
     inverses = number(inverses)
-    if n > TABLE_BACKING_LIMIT:
+    if n > ORACLE_ORDER_LIMIT:
         return FiniteGroup(perms=perms, perm_index=index, inverses=inverses,
                            generators=range(1, k + 1))
 
@@ -487,18 +510,28 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs; index (i, j) -> i * |b| + j.
 
-    Up to TABLE_BACKING_LIMIT the product gets a dense table; above it,
-    a product backing that multiplies in each factor."""
+    Up to TABLE_BACKING_LIMIT a product of two tables gets a dense
+    table; above it, or when a factor has none, a product backing that
+    multiplies in each factor."""
     order = a.order * b.order
     _check_cap(order, "product order")
     nb = b.order
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
-    if order > TABLE_BACKING_LIMIT:
+    if order > TABLE_BACKING_LIMIT or a._table is None or b._table is None:
         return FiniteGroup(factors=(a, b), generators=gens)
     # TABLE_DTYPE throughout: entries stay below the order.
     t = (a.dense_table()[:, None, :, None] * TABLE_DTYPE(nb)
          + b.dense_table()[None, :, None, :])
     return FiniteGroup(table=t.reshape(order, order), generators=gens)
+
+
+def _filled_table(g: FiniteGroup) -> np.ndarray:
+    """g's stored table, or, for a closure above ORACLE_ORDER_LIMIT that
+    keeps none, one filled from its products."""
+    if g._table is not None:
+        return g._table
+    idx = np.arange(g.order)
+    return g.products(idx[:, None], idx)
 
 
 def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
@@ -529,8 +562,7 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action) -> FiniteGroup:
         raise CapExceededError(
             "semidirect products above the table limit are not supported; "
             "use a permutation construction such as wreath_cyclic")
-    tn = n.dense_table()
-    th = h.dense_table()
+    tn, th = _filled_table(n), _filled_table(h)
     acts = _as_action_arrays(n, h, action)
 
     idx = np.arange(n.order)
@@ -755,22 +787,16 @@ def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
     q = g.order // n.order
     if q > TABLE_BACKING_LIMIT:
         raise CapExceededError(f"quotient order {q} exceeds the table limit")
-    proj = [-1] * g.order
+    proj = np.full(g.order, -1, dtype=TABLE_DTYPE)
+    members = np.array(n.members, dtype=np.intp)
     reps: list[int] = []
     for x in range(g.order):
         if proj[x] < 0:
-            c = len(reps)
+            proj[g.products(x, members)] = len(reps)
             reps.append(x)
-            for m in n.members:
-                proj[g.multiply(x, m)] = c
-    if g._table is not None:
-        parr = np.asarray(proj, dtype=TABLE_DTYPE)
-        table = parr[g._table[np.ix_(reps, reps)]]
-    else:
-        table = np.empty((q, q), dtype=TABLE_DTYPE)
-        for c1, r1 in enumerate(reps):
-            for c2, r2 in enumerate(reps):
-                table[c1, c2] = proj[g.multiply(r1, r2)]
+    r = np.array(reps, dtype=np.intp)
+    table = proj[g.products(r[:, None], r)]
+    proj = proj.tolist()
     gens = tuple(dict.fromkeys(proj[t] for t in g.generators if proj[t] != 0))
     return Quotient(FiniteGroup(table=table, generators=gens), tuple(proj))
 
@@ -824,7 +850,7 @@ def abelian_invariants(h: Subgroup) -> AbelianType:
         raise NotAbelianError("subgroup is not abelian")
     if h.order == 1:
         return AbelianType(())
-    orders = Counter(_member_orders(h))
+    orders = Counter(h.member_orders())
     factors: list[int] = []
     for p in _factorize(h.order):
         logs = {_p_log(o, p): count for o, count in orders.items()}
@@ -859,7 +885,7 @@ def _member_orders(h: Subgroup) -> list[int]:
 
 
 def exponent(h: Subgroup) -> int:
-    return math.lcm(*_member_orders(h))
+    return math.lcm(*h.member_orders())
 
 
 def is_p_group(h: Subgroup, p: int) -> bool:

@@ -72,15 +72,14 @@ from .errors import (
     NotGeneratingError,
     OracleCapExceededError,
 )
-from .groups import FiniteGroup, Subgroup, subgroup_generated
+from .groups import (
+    ORACLE_ORDER_LIMIT,
+    FiniteGroup,
+    Subgroup,
+    subgroup_generated,
+)
 
 DEFAULT_ORACLE_CAP = 512
-# No algebra is built above this order, whatever analyze's oracle cap,
-# so a forced run fails at once.  At order 512 the chains take 1.1 s
-# and 63 MB on 2 CPUs, each doubling of |G| costs 4 to 8 times the
-# time, and a kept upper term is |G|^2 floats of 4 or 8 bytes (67 or
-# 134 MB at order 4096).
-ORACLE_ORDER_LIMIT = 1024
 # (dtype, bound), narrowest first: every integer x below the bound in
 # magnitude, and floor(x / p) computed in the dtype for an integer p
 # below it, is exact there.
@@ -248,14 +247,14 @@ class GroupAlgebra:
     """
 
     def __init__(self, group: FiniteGroup, p: int):
-        # Fetching the stored table allocates nothing; a group without
-        # one fails here (CapExceededError).
-        self._table = group.dense_table()
         if group.order > ORACLE_ORDER_LIMIT:
             raise OracleCapExceededError(
                 f"group order {group.order} is above "
                 f"{ORACLE_ORDER_LIMIT}, the largest order the oracle "
                 f"runs on")
+        # Every group up to the limit stores a table, and fetching it
+        # allocates nothing.
+        self._table = group.dense_table()
         generated = subgroup_generated(group, group.generators).order
         if generated != group.order:
             raise NotGeneratingError(

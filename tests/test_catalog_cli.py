@@ -178,8 +178,8 @@ def test_scan_oracle_without_table_exits_2(tmp_path, capsys):
 
 
 def test_oracle_refused_above_order_limit(tmp_path):
-    """A forced oracle on the order-2048 C2wrC8, a table-backed group
-    above ORACLE_ORDER_LIMIT, is refused before any chain runs: exit 2
+    """A forced oracle on the order-2048 C2wrC8, a permutation-backed
+    group above ORACLE_ORDER_LIMIT, is refused before any chain runs: exit 2
     and one error line from analyze and scan.  Run in a subprocess with
     a timeout, since an oracle that ran would take hours."""
     import subprocess

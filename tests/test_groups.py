@@ -212,14 +212,12 @@ def test_table_dtype_holds_every_index():
 
 
 def test_tables_stored_as_int16(catalog):
-    """Every table-backed catalog group, and the order-4096 closure at
-    the table limit, stores an int16 table whose largest entry is the
-    last element index."""
-    from pathlib import Path
-    big = Catalog.load(Path(__file__).parent / "data" / "table4096.jsonl")
+    """Every table-backed catalog group, and an order-4096 direct
+    product at the table limit, stores an int16 table whose largest
+    entry is the last element index."""
     tables = [catalog.build(e.name) for e in catalog.entries]
     tables = [g for g in tables if g.backing == "table"]
-    tables.append(big.build("Syl2S16o4096"))
+    tables.append(direct_product(catalog.build("D8wrC2"), cyclic_group(32)))
     assert len(tables) > 20 and tables[-1].order == 4096
     for g in tables:
         table = g.dense_table()
@@ -358,14 +356,14 @@ def test_closure_matches_reference_on_random_sylow_subgroups(p, k, seed,
 
 
 def test_closure_matches_reference_above_table_limit(catalog, monkeypatch):
-    """Forced to the permutation backing, the table-backed catalog
-    closures keep the same element order and inverses (C5wrC5, already
-    permutation backed, is checked above)."""
+    """Forced to the permutation backing by a lowered ORACLE_ORDER_LIMIT,
+    the table-backed catalog closures keep the same element order and
+    inverses (C5wrC5, already permutation backed, is checked above)."""
     calls = [(d, gens) for d, gens
              in _recorded_permutation_builds(catalog, monkeypatch) if d < 25]
     assert len(calls) == 2
     with monkeypatch.context() as m:
-        m.setattr(groups, "TABLE_BACKING_LIMIT", 1)
+        m.setattr(groups, "ORACLE_ORDER_LIMIT", 1)
         for degree, gens in calls + [(4, [[1, 2, 3, 0], [0, 3, 2, 1]])]:
             assert _assert_matches_brute(degree, gens).backing == \
                 "permutation"
@@ -526,6 +524,23 @@ def test_semidirect_table_matches_int64_construction(monkeypatch):
         assert table.tobytes() == \
             _int64_semidirect_table(n, h, action).astype(np.int16).tobytes()
     assert groups_built[-1].order == 2048
+
+
+def test_semidirect_of_a_permutation_backed_part(monkeypatch):
+    """A normal part that keeps no table gives the same semidirect
+    product as its table-backed build: C2wrC4 x| C2, acting by
+    conjugation with an involution."""
+    def build():
+        n = wreath_cyclic(2, 4)
+        x, t = np.arange(n.order), n.generators[0]
+        conj = n.products(n.inverse(t), n.products(x, t))
+        return n, semidirect_product(n, cyclic_group(2), [x, conj])
+
+    n, want = build()
+    monkeypatch.setattr(groups, "ORACLE_ORDER_LIMIT", 16)
+    perm, got = build()
+    assert (n.backing, perm.backing) == ("table", "permutation")
+    assert np.array_equal(got.dense_table(), want.dense_table())
 
 
 def test_wreath_orders():
@@ -843,9 +858,10 @@ def test_products_match_multiply(built):
 
 
 def test_analyze_makes_no_scalar_products(monkeypatch):
-    """Above a lowered table limit, analyze runs on bulk products alone:
-    a product-backed abelian group and a permutation-backed wreath
-    product analyse as their table-backed builds with multiply refused."""
+    """Above lowered table and oracle limits, analyze runs on bulk
+    products alone: a product-backed abelian group and permutation-backed
+    wreath products analyse as their table-backed builds with multiply
+    refused."""
     from lienilp.report import analyze
 
     def build():
@@ -858,12 +874,82 @@ def test_analyze_makes_no_scalar_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar multiply during analyze")
     monkeypatch.setattr(groups, "TABLE_BACKING_LIMIT", 16)
+    monkeypatch.setattr(groups, "ORACLE_ORDER_LIMIT", 16)
     big = build()
     assert [g.backing for g, _ in big] == \
         ["product", "permutation", "permutation"]
     monkeypatch.setattr(groups.FiniteGroup, "multiply", refuse)
     assert [analyze(g, p, run_oracle=False).to_json_dict()
             for g, p in big] == want
+
+
+def _refuse_multiply(*args):
+    raise AssertionError("scalar multiply")
+
+
+def test_closure_above_oracle_limit_analyses_as_its_table(monkeypatch):
+    """An order-2048 closure, above ORACLE_ORDER_LIMIT, keeps the
+    permutation backing and analyses byte for byte as its table-backed
+    build (the limit raised), with multiply refused."""
+    import json
+    from lienilp.report import analyze
+    with monkeypatch.context() as m:
+        m.setattr(groups, "ORACLE_ORDER_LIMIT", 4096)
+        table = wreath_cyclic(2, 8)
+    perm = wreath_cyclic(2, 8)
+    assert (table.backing, perm.backing, perm.order) == \
+        ("table", "permutation", 2048)
+    want = json.dumps(analyze(table, 2, run_oracle=False).to_json_dict())
+    monkeypatch.setattr(FiniteGroup, "multiply", _refuse_multiply)
+    assert json.dumps(analyze(perm, 2, run_oracle=False).to_json_dict()) \
+        == want
+
+
+def test_quotient_on_bulk_products(monkeypatch):
+    """The quotient of a permutation-backed closure by its centre equals
+    the one from its table-backed build, with multiply refused."""
+    with monkeypatch.context() as m:
+        m.setattr(groups, "ORACLE_ORDER_LIMIT", 4096)
+        table = wreath_cyclic(2, 8)
+    perm = wreath_cyclic(2, 8)
+    assert perm.backing == "permutation"
+    want = quotient(table, center(table))
+    monkeypatch.setattr(FiniteGroup, "multiply", _refuse_multiply)
+    got = quotient(perm, center(perm))
+    assert got.group.order == 1024
+    assert got.projection == want.projection
+    assert got.group.generators == want.group.generators
+    assert np.array_equal(got.group.dense_table(), want.group.dense_table())
+
+
+def test_direct_product_of_a_permutation_factor(monkeypatch):
+    """Within the table limit, a product with a factor that has no table
+    gets the product backing, and multiplies and inverts as the table
+    built from table-backed factors."""
+    with monkeypatch.context() as m:
+        m.setattr(groups, "ORACLE_ORDER_LIMIT", 4096)
+        table = direct_product(wreath_cyclic(2, 8), cyclic_group(2))
+    g = direct_product(wreath_cyclic(2, 8), cyclic_group(2))
+    assert (table.backing, g.backing, g.order) == ("table", "product", 4096)
+    i, j = np.random.default_rng(5).integers(0, 4096, (2, 5000))
+    assert np.array_equal(g.products(i, j), table.products(i, j))
+    assert np.array_equal(g._inverses, table._inverses)
+    assert g.generators == table.generators
+
+
+def test_member_orders_once_per_subgroup(monkeypatch):
+    """One analyze computes the member orders of each distinct subgroup
+    once: exponent and abelian_invariants read the list kept on it."""
+    from lienilp.report import analyze
+    calls = []
+    real = groups._member_orders
+
+    def record(h):
+        calls.append(h.members)
+        return real(h)
+    monkeypatch.setattr(groups, "_member_orders", record)
+    analyze(wreath_cyclic(5, 5), 5)
+    assert len(calls) == len(set(calls)) > 1
 
 
 def test_bulk_orders_match_element_order(catalog, built):

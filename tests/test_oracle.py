@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from lienilp.errors import (
-    CapExceededError,
     DimensionMismatchError,
     NoConvergenceError,
     NotGeneratingError,
     OracleCapExceededError,
 )
 from lienilp.groups import (
+    ORACLE_ORDER_LIMIT,
     FiniteGroup,
     cyclic_group,
     lower_central_series,
@@ -382,29 +382,29 @@ def test_oracle_reads_no_lower_central_series(monkeypatch, built,
 
 def test_oracle_cap(built):
     """analyze leaves the oracle out above its cap; GroupAlgebra refuses
-    a table-backed group above ORACLE_ORDER_LIMIT, and a group with no
-    dense table."""
+    every group above ORACLE_ORDER_LIMIT by its order, whatever its
+    backing."""
     report = analyze(built("C3wrC3"), 3, oracle_cap=64)
     assert not report.oracle.ran
     assert report.checks["oracle_upper_matches_jennings"] is None
-    big = wreath_cyclic(2, 8)
-    assert big.backing == "table" and big.order == 2048
-    with pytest.raises(OracleCapExceededError):
-        GroupAlgebra(big, 2)
-    with pytest.raises(CapExceededError):
-        GroupAlgebra(built("C5wrC5"), 5)
+    big = [cyclic_group(2048), wreath_cyclic(2, 8), built("C5wrC5")]
+    assert [g.backing for g in big] == ["table", "permutation", "permutation"]
+    for g in big:
+        with pytest.raises(OracleCapExceededError,
+                           match=f"^group order {g.order} is above 1024"):
+            GroupAlgebra(g, 2)
 
 
 def test_generators_checked_on_every_catalog_group(catalog):
-    """Every catalog group passes the generator check; a
-    permutation-backed one has no algebra (no dense table), so its
-    generators are checked directly."""
+    """Every catalog group passes the generator check; one above
+    ORACLE_ORDER_LIMIT has no algebra, so its generators are checked
+    directly."""
     for entry in catalog.entries:
         g = catalog.build(entry.name)
-        if g.backing == "table":
+        if g.order <= ORACLE_ORDER_LIMIT:
             assert GroupAlgebra(g, 2).n == g.order
         else:
-            with pytest.raises(CapExceededError):
+            with pytest.raises(OracleCapExceededError):
                 GroupAlgebra(g, 2)
             assert subgroup_generated(g, g.generators).order == g.order
 
