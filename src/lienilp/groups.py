@@ -186,7 +186,7 @@ class Subgroup:
             # The first failing x names its inverse before its products.
             m = np.array(mem)
             bad_inv = ~np.isin(parent._inverses[m], m)
-            bad_mul = ~np.isin(parent.dense_table()[np.ix_(m, m)], m)
+            bad_mul = ~np.isin(parent.products(m[:, None], m), m)
             bad = np.flatnonzero(bad_inv | bad_mul.any(axis=1))
             if bad.size:
                 x = bad[0]
@@ -211,10 +211,10 @@ class Subgroup:
     def member_set(self) -> frozenset[int]:
         return self._member_set
 
-    def member_orders(self) -> list[int]:
+    def member_orders(self) -> tuple[int, ...]:
         """The order of every member, computed on first use and kept."""
         if self._orders is None:
-            self._orders = _member_orders(self)
+            self._orders = tuple(_member_orders(self))
         return self._orders
 
     def __eq__(self, other) -> bool:
@@ -525,13 +525,15 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table=t.reshape(order, order), generators=gens)
 
 
-def _filled_table(g: FiniteGroup) -> np.ndarray:
-    """g's stored table, or, for a closure above ORACLE_ORDER_LIMIT that
-    keeps none, one filled from its products."""
-    if g._table is not None:
-        return g._table
+def _table_from_products(g: FiniteGroup) -> np.ndarray:
+    """g's multiplication table as TABLE_DTYPE, from bulk products a
+    block of rows at a time, so no |g|^2 int64 array is made."""
     idx = np.arange(g.order)
-    return g.products(idx[:, None], idx)
+    step = max(1, 2 ** 18 // g.order)
+    t = np.empty((g.order, g.order), dtype=TABLE_DTYPE)
+    for s in range(0, g.order, step):
+        t[s:s + step] = g.products(idx[s:s + step, None], idx)
+    return t
 
 
 def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
@@ -562,7 +564,7 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action) -> FiniteGroup:
         raise CapExceededError(
             "semidirect products above the table limit are not supported; "
             "use a permutation construction such as wreath_cyclic")
-    tn, th = _filled_table(n), _filled_table(h)
+    tn, th = _table_from_products(n), _table_from_products(h)
     acts = _as_action_arrays(n, h, action)
 
     idx = np.arange(n.order)

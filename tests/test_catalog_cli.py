@@ -157,8 +157,9 @@ def test_analyze_unknown_group_exits_2(capsys):
 
 
 def test_analyze_oracle_without_table_exits_2(capsys):
-    """A permutation-backed group has no dense table for the oracle: a
-    one-line error and exit 2, not a traceback."""
+    """The oracle refuses a group by order, above ORACLE_ORDER_LIMIT
+    (C5wrC5 has order 15625): a one-line error and exit 2, not a
+    traceback."""
     rc = main(["analyze", "C5wrC5", "--prime", "5", "--oracle"])
     err = capsys.readouterr().err
     assert rc == 2

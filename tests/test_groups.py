@@ -541,6 +541,9 @@ def test_semidirect_of_a_permutation_backed_part(monkeypatch):
     perm, got = build()
     assert (n.backing, perm.backing) == ("table", "permutation")
     assert np.array_equal(got.dense_table(), want.dense_table())
+    filled = groups._table_from_products(perm)
+    assert filled.dtype == np.int16
+    assert np.array_equal(filled, n.dense_table())
 
 
 def test_wreath_orders():
@@ -907,7 +910,8 @@ def test_closure_above_oracle_limit_analyses_as_its_table(monkeypatch):
 
 def test_quotient_on_bulk_products(monkeypatch):
     """The quotient of a permutation-backed closure by its centre equals
-    the one from its table-backed build, with multiply refused."""
+    the one from its table-backed build, with multiply refused; subsets
+    of it are checked for closure as on the table."""
     with monkeypatch.context() as m:
         m.setattr(groups, "ORACLE_ORDER_LIMIT", 4096)
         table = wreath_cyclic(2, 8)
@@ -920,6 +924,14 @@ def test_quotient_on_bulk_products(monkeypatch):
     assert got.projection == want.projection
     assert got.group.generators == want.group.generators
     assert np.array_equal(got.group.dense_table(), want.group.dense_table())
+    assert Subgroup(perm, center(perm).members) == center(perm)
+    for members in ([0, perm.generators[1]], range(4)):
+        errors = []
+        for g in (table, perm):
+            with pytest.raises(ValueError) as exc:
+                Subgroup(g, members)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 def test_direct_product_of_a_permutation_factor(monkeypatch):
@@ -939,7 +951,7 @@ def test_direct_product_of_a_permutation_factor(monkeypatch):
 
 def test_member_orders_once_per_subgroup(monkeypatch):
     """One analyze computes the member orders of each distinct subgroup
-    once: exponent and abelian_invariants read the list kept on it."""
+    once: exponent and abelian_invariants read the tuple kept on it."""
     from lienilp.report import analyze
     calls = []
     real = groups._member_orders
@@ -950,6 +962,8 @@ def test_member_orders_once_per_subgroup(monkeypatch):
     monkeypatch.setattr(groups, "_member_orders", record)
     analyze(wreath_cyclic(5, 5), 5)
     assert len(calls) == len(set(calls)) > 1
+    h = full_subgroup(wreath_cyclic(2, 3))
+    assert isinstance(h.member_orders(), tuple)
 
 
 def test_bulk_orders_match_element_order(catalog, built):
