@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 standard output closed before everything was
 written (as by ``| head``; no traceback), 2 build/usage error (including
 a --prime that is not a prime, and a group the analysis cannot handle,
-such as the oracle forced onto a group with no dense table or of order
-above 1024), 3 internal consistency failure (a cross-check mismatch or
-a failed acceptance criterion).
+such as --oracle on a group of order above 1024, whatever its backing),
+3 internal consistency failure (a cross-check mismatch or a failed
+acceptance criterion).
 """
 
 from __future__ import annotations

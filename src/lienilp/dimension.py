@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     IndexNotPPowerError,
     NotCentralError,
@@ -112,8 +114,8 @@ def series_recursive(g: FiniteGroup, p: int) -> DimensionSeries:
     derived = gamma[1] if len(gamma) > 1 else trivial_subgroup(g)
     terms = [top, derived]
     bound = _termination_bound(gamma)
-    comm_memo: dict[tuple[int, ...], Subgroup] = {}
-    pow_memo: dict[tuple[int, ...], Subgroup] = {}
+    comm_memo: dict[Subgroup, Subgroup] = {}
+    pow_memo: dict[Subgroup, Subgroup] = {}
     while not terms[-1].is_trivial:
         m = len(terms)
         if m > bound:
@@ -121,12 +123,11 @@ def series_recursive(g: FiniteGroup, p: int) -> DimensionSeries:
                 f"recursive series did not die by index {bound}")
         dm = terms[m - 1]
         dk = terms[_ceil_div(m, p)]
-        if dm.members not in comm_memo:
-            comm_memo[dm.members] = commutator_subgroup(dm, g)
-        if dk.members not in pow_memo:
-            pow_memo[dk.members] = power_subgroup(dk, p)
-        terms.append(product_of_subgroups(comm_memo[dm.members],
-                                          pow_memo[dk.members]))
+        if dm not in comm_memo:
+            comm_memo[dm] = commutator_subgroup(dm, g)
+        if dk not in pow_memo:
+            pow_memo[dk] = power_subgroup(dk, p)
+        terms.append(product_of_subgroups(comm_memo[dm], pow_memo[dk]))
     return DimensionSeries(p, tuple(terms))
 
 
@@ -246,19 +247,18 @@ def quotient_series_check(g: FiniteGroup, p: int, h: Subgroup) -> bool:
     for a central subgroup H."""
     if h.parent is not g:
         raise ValueError("subgroup does not belong to the given group")
-    z = center(g)
-    for x in h.members:
-        if x not in z:
-            raise NotCentralError(f"element {x} is not central")
+    outside = h.members[~np.isin(h.members, center(g).members)]
+    if outside.size:
+        raise NotCentralError(f"element {outside[0]} is not central")
     q = quotient(g, h)
     series_g = series_recursive(g, p).terms
     series_q = series_recursive(q.group, p).terms
-    proj = q.projection
+    proj = np.asarray(q.projection)
+    trivial = trivial_subgroup(q.group).members
     for i in range(max(len(series_g), len(series_q))):
-        image = (frozenset(proj[x] for x in series_g[i].members)
-                 if i < len(series_g) else frozenset((0,)))
-        target = (series_q[i].member_set()
-                  if i < len(series_q) else frozenset((0,)))
-        if image != target:
+        image = (np.unique(proj[series_g[i].members])
+                 if i < len(series_g) else trivial)
+        target = series_q[i].members if i < len(series_q) else trivial
+        if not np.array_equal(image, target):
             return False
     return True

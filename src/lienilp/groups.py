@@ -5,13 +5,15 @@ index 0.  Small groups carry a dense int16 multiplication table: every
 group up to ORACLE_ORDER_LIMIT, where the oracle reads it, and groups
 built from tables up to TABLE_BACKING_LIMIT.  The others have one of two
 backings: a permutation closure (built a breadth-first level at a time)
-stores each element as a permutation of a finite set and multiplies by
-composition and an index lookup; a direct product stores its two
-factors and multiplies componentwise on the codes i * |b| + j.  The
-subgroup machinery runs on ``FiniteGroup.products`` alone, which
-multiplies index arrays on every backing.  Groups and subgroups are
-immutable after construction (a subgroup keeps its member orders once
-computed), so all operations here are pure functions.
+stores each element as a permutation of a finite set, in the narrowest
+unsigned dtype that holds its points, and multiplies by composition and
+an index lookup; a direct product stores its two factors and multiplies
+componentwise on the codes i * |b| + j.  The subgroup machinery runs on
+``FiniteGroup.products`` alone, which multiplies index arrays on every
+backing, and a subgroup keeps its members as one sorted index array.
+Groups and subgroups are immutable after construction (a subgroup keeps
+its member orders once computed), so all operations here are pure
+functions.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class FiniteGroup:
             self.order = a.order * b.order
             inverses = (a._inverses.astype(np.int64)[:, None] * b.order
                         + b._inverses[None, :]).reshape(-1)
-        else:  # int32 rows and the closure's index keyed by their bytes
+        else:  # narrow rows and the closure's index keyed by their bytes
             self._perms, self._perm_index = perms, perm_index
             self.order = len(perms)
         self._inverses = np.asarray(inverses, dtype=np.int32)
@@ -144,7 +146,8 @@ class FiniteGroup:
         # Row k is x -> i(j(x)), as in multiply: one gather from the
         # flat rows.
         rows = perms.ravel().take(perms[j] + (i * degree)[..., None])
-        keys = rows.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
+        width = np.dtype((np.void, rows.itemsize * degree))
+        keys = rows.view(width).ravel().tolist()
         return np.fromiter(map(self._perm_index.__getitem__, keys),
                            np.int64, len(keys))
 
@@ -163,30 +166,32 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """An element-index subset of a parent group, closed under its operations."""
+    """An element-index subset of a parent group, closed under its
+    operations.  ``members`` is one sorted, read-only np.intp array."""
 
-    __slots__ = ("parent", "members", "generators", "_member_set", "_orders")
+    __slots__ = ("parent", "members", "generators", "_orders")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int],
                  generators: Iterable[int] = (), *, closed: bool = False):
-        mem = tuple(sorted({int(x) for x in members}))
+        if not isinstance(members, np.ndarray):
+            members = list(members)     # a set or a range as well
+        mem = np.unique(np.asarray(members, dtype=np.intp))
+        if not mem.size or mem[0] != 0:
+            raise ValueError("subgroup must contain the identity (index 0)")
+        if parent.order % mem.size != 0:
+            raise ValueError(
+                f"subset of size {mem.size} cannot be a subgroup of a group "
+                f"of order {parent.order}")
+        mem.flags.writeable = False
         self.parent = parent
         self.members = mem
         gens = tuple(int(x) for x in generators)
-        self.generators = gens if gens else tuple(x for x in mem if x != 0)
-        self._member_set = frozenset(mem)
+        self.generators = gens if gens else tuple(mem[1:].tolist())
         self._orders = None
-        if not mem or mem[0] != 0:
-            raise ValueError("subgroup must contain the identity (index 0)")
-        if parent.order % len(mem) != 0:
-            raise ValueError(
-                f"subset of size {len(mem)} cannot be a subgroup of a group "
-                f"of order {parent.order}")
         if not closed:
             # The first failing x names its inverse before its products.
-            m = np.array(mem)
-            bad_inv = ~np.isin(parent._inverses[m], m)
-            bad_mul = ~np.isin(parent.products(m[:, None], m), m)
+            bad_inv = ~np.isin(parent._inverses[mem], mem)
+            bad_mul = ~np.isin(parent.products(mem[:, None], mem), mem)
             bad = np.flatnonzero(bad_inv | bad_mul.any(axis=1))
             if bad.size:
                 x = bad[0]
@@ -199,17 +204,15 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.members.size
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.members) == 1
+        return self.members.size == 1
 
     def __contains__(self, x: int) -> bool:
-        return x in self._member_set
-
-    def member_set(self) -> frozenset[int]:
-        return self._member_set
+        i = self.members.searchsorted(x)
+        return bool(i < self.members.size and self.members[i] == x)
 
     def member_orders(self) -> tuple[int, ...]:
         """The order of every member, computed on first use and kept."""
@@ -220,10 +223,11 @@ class Subgroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent is other.parent and self.members == other.members
+        return (self.parent is other.parent
+                and np.array_equal(self.members, other.members))
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return hash((id(self.parent), self.members.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.order})"
@@ -431,10 +435,11 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     Element 0 is the identity and elements 1..k are the generators, less
     the identity and repeats; the closure goes on breadth first, each
     element numbered as first found as e * g, e in order, then g in
-    order.  Groups whose order stays within ORACLE_ORDER_LIMIT are
-    materialised as dense tables, which the oracle reads; bigger
-    closures keep the permutation backing: the int32 rows and one index
-    keyed by their bytes.
+    order.  The rows are kept in the narrowest unsigned dtype that holds
+    degree - 1 (uint8 up to 256 points, uint16 up to 65536).  Groups
+    whose order stays within ORACLE_ORDER_LIMIT are materialised as
+    dense tables, which the oracle reads; bigger closures keep the
+    permutation backing: the rows and one index keyed by their bytes.
     """
     if degree < 0:
         raise ValueError(f"permutation degree {degree} is negative")
@@ -451,9 +456,10 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     if not gens:  # no generators but the identity, or no points
         return FiniteGroup(table=[[0]])
     k = len(gens)
-    gen_arr = np.array(gens, dtype=np.int32).reshape(k, degree)
-    width = np.dtype((np.void, 4 * degree))
-    levels = [np.arange(degree, dtype=np.int32)[None]]
+    dtype = np.min_scalar_type(degree - 1)
+    gen_arr = np.array(gens, dtype=dtype).reshape(k, degree)
+    width = np.dtype((np.void, dtype.itemsize * degree))
+    levels = [np.arange(degree, dtype=dtype)[None]]
     index = {levels[0].tobytes(): 0}
 
     def number(rows):
@@ -690,14 +696,14 @@ def trivial_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def full_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, range(g.order), g.generators, closed=True)
+    return Subgroup(g, np.arange(g.order), g.generators, closed=True)
 
 
 def subgroup_generated(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the given elements."""
     seeds = sorted({int(x) for x in gens} - {0})
     mask, _ = _closure(g, seeds)
-    return Subgroup(g, np.flatnonzero(mask).tolist(), seeds, closed=True)
+    return Subgroup(g, np.flatnonzero(mask), seeds, closed=True)
 
 
 def _conjugates(g: FiniteGroup, x: np.ndarray) -> np.ndarray:
@@ -719,20 +725,19 @@ def normal_closure(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
         added = list(dict.fromkeys(conj[~mask[conj]].tolist()))
         gens.extend(added)
         _closure(g, added, mask, kept)
-    return Subgroup(g, np.flatnonzero(mask).tolist(), gens, closed=True)
+    return Subgroup(g, np.flatnonzero(mask), gens, closed=True)
 
 
 def is_normal(h: Subgroup) -> tuple[bool, tuple[int, int] | None]:
     """Whether every generator conjugates h into itself; the first
     failure, generator-major, is the witness (x, t)."""
     g = h.parent
-    x = np.array(h.members, dtype=np.intp)
     mask = np.zeros(g.order, dtype=bool)
-    mask[x] = True
-    t, k = np.nonzero(~mask[_conjugates(g, x)])
+    mask[h.members] = True
+    t, k = np.nonzero(~mask[_conjugates(g, h.members)])
     if not t.size:
         return True, None
-    return False, (h.members[k[0]], g.generators[t[0]])
+    return False, (int(h.members[k[0]]), g.generators[t[0]])
 
 
 def commutator_subgroup(h: Subgroup, g: FiniteGroup) -> Subgroup:
@@ -775,7 +780,7 @@ def center(g: FiniteGroup) -> Subgroup:
     z = np.arange(g.order)[:, None]
     t = np.array(g.generators, dtype=np.intp)
     central = (g.products(z, t) == g.products(t, z)).all(axis=1)
-    return Subgroup(g, np.flatnonzero(central).tolist(), closed=True)
+    return Subgroup(g, np.flatnonzero(central), closed=True)
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
@@ -790,11 +795,10 @@ def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
     if q > TABLE_BACKING_LIMIT:
         raise CapExceededError(f"quotient order {q} exceeds the table limit")
     proj = np.full(g.order, -1, dtype=TABLE_DTYPE)
-    members = np.array(n.members, dtype=np.intp)
     reps: list[int] = []
     for x in range(g.order):
         if proj[x] < 0:
-            proj[g.products(x, members)] = len(reps)
+            proj[g.products(x, n.members)] = len(reps)
             reps.append(x)
     r = np.array(reps, dtype=np.intp)
     table = proj[g.products(r[:, None], r)]
@@ -807,7 +811,7 @@ def power_subgroup(h: Subgroup, q: int) -> Subgroup:
     """Subgroup generated by the q-th powers of all members of h."""
     if q < 1:
         raise ValueError("exponent must be positive")
-    powers = _powers(h.parent, np.array(h.members, dtype=np.intp), q)
+    powers = _powers(h.parent, h.members, q)
     return subgroup_generated(h.parent, np.unique(powers).tolist())
 
 
@@ -874,8 +878,7 @@ def _member_orders(h: Subgroup) -> list[int]:
     """The order of every member of h, all at once, a prime q of
     |h| = q^a m (q not dividing m) at a time: y = x^m has the q-part of
     x's order, q^k for the least k with y^(q^k) = 1."""
-    g = h.parent
-    x = np.array(h.members, dtype=np.intp)
+    g, x = h.parent, h.members
     orders = np.ones_like(x)
     for q, a in _factorize(h.order).items():
         live, y = np.arange(len(x)), _powers(g, x, h.order // q ** a)

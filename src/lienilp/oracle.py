@@ -381,7 +381,7 @@ def dimension_subgroup_direct(algebra: GroupAlgebra, m: int) -> Subgroup:
     term = chain[min(m, len(chain)) - 1]
     deltas = np.eye(algebra.n, dtype=term.work)
     deltas[:, 0] -= 1
-    members = np.flatnonzero(~term.reduce(deltas).any(axis=1)).tolist()
+    members = np.flatnonzero(~term.reduce(deltas).any(axis=1))
     return Subgroup(algebra.group, members)
 
 

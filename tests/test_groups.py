@@ -290,7 +290,8 @@ def _assert_matches_brute(degree, gens):
         assert g.dense_table().tolist() == table.tolist()
         return g
     assert g.backing == "permutation"
-    assert isinstance(g._perms, np.ndarray) and g._perms.dtype == np.int32
+    assert isinstance(g._perms, np.ndarray)
+    assert g._perms.dtype == np.min_scalar_type(degree - 1)
     assert g._perms.tolist() == [list(e) for e in elements]
     if table is not None:
         assert [[g.multiply(i, j) for j in range(g.order)]
@@ -398,6 +399,32 @@ def test_closure_cap_is_inclusive(monkeypatch):
 def test_closure_rejects_non_permutations(perm):
     with pytest.raises(ValueError, match="is not a permutation of 0..2"):
         from_permutation_generators(3, [[1, 2, 0], perm])
+
+
+def test_closure_rows_in_one_byte_up_to_256_points():
+    g = wreath_cyclic(2, 8)
+    assert (g.backing, g.order, g._perms.shape[1]) == \
+        ("permutation", 2048, 16)
+    assert g._perms.dtype == np.uint8
+
+
+def test_closure_rows_in_two_bytes_above_256_points():
+    """Disjoint 257- and 5-cycles on 262 points generate C257 x C5, of
+    order 1285: permutation backed, with uint16 rows.  Bulk products
+    are the composed rows' element numbers, and multiply agrees."""
+    long = [(x + 1) % 257 if x < 257 else x for x in range(262)]
+    short = [x if x < 257 else 257 + (x - 256) % 5 for x in range(262)]
+    g = from_permutation_generators(262, [long, short])
+    assert (g.backing, g.order) == ("permutation", 1285)
+    assert g._perms.dtype == np.uint16
+    number = {tuple(row): e for e, row in enumerate(g._perms.tolist())}
+    i, j = np.random.default_rng(11).integers(0, g.order, (2, 3000))
+    got = g.products(i, j)
+    assert got.tolist() == [number[tuple(g._perms[a][g._perms[b]].tolist())]
+                            for a, b in zip(i, j)]
+    assert [g.multiply(a, b) for a, b in zip(i[:300].tolist(),
+                                             j[:300].tolist())] == \
+        got[:300].tolist()
 
 
 # --- products -------------------------------------------------------------------
@@ -662,9 +689,27 @@ def test_commutator_in_d8():
 
 def test_subgroup_generated_edges():
     d8 = dihedral_group(8)
-    assert subgroup_generated(d8, []).members == (0,)
+    assert subgroup_generated(d8, []).members.tolist() == [0]
     assert subgroup_generated(d8, [2]).order == 2
     assert subgroup_generated(d8, range(8)).order == 8
+
+
+def test_subgroup_members_are_one_sorted_read_only_array():
+    """Members are sorted np.intp, and cannot be written; a subgroup
+    built from unsorted repeated members equals, and hashes as, the
+    generated one; ``in`` is False off the members and past the last."""
+    d8 = dihedral_group(8)
+    h = subgroup_generated(d8, [2, 4])
+    assert h.members.tolist() == [0, 2, 4, 6]
+    assert h.members.dtype == np.intp and not h.members.flags.writeable
+    with pytest.raises(ValueError):
+        h.members[1] = 3
+    same = Subgroup(d8, [6, 4, 0, 2, 4])
+    assert same == h and hash(same) == hash(h)
+    assert same != subgroup_generated(d8, [2])
+    assert [x in h for x in range(9)] == [True, False, True, False,
+                                          True, False, True, False, False]
+    assert 7 not in subgroup_generated(d8, [1])
 
 
 def test_subgroup_generated_matches_brute_force():
@@ -708,7 +753,7 @@ def test_nilpotency_class(built):
 
 def test_center(built):
     d8 = built("D8")
-    assert center(d8).members == (0, 2)
+    assert center(d8).members.tolist() == [0, 2]
     c6 = cyclic_group(6)
     assert center(c6).order == 6
     assert center(built("C1")).order == 1
@@ -742,7 +787,8 @@ def test_gamma_series_descends_and_is_normal(catalog):
         g = catalog.build(entry.name)
         series = lower_central_series(g)
         for i in range(len(series) - 1):
-            assert series[i + 1].member_set() < series[i].member_set()
+            assert series[i + 1].order < series[i].order
+            assert np.isin(series[i + 1].members, series[i].members).all()
         for term in series:
             assert is_normal(term)[0], entry.name
 
@@ -957,7 +1003,7 @@ def test_member_orders_once_per_subgroup(monkeypatch):
     real = groups._member_orders
 
     def record(h):
-        calls.append(h.members)
+        calls.append(h)
         return real(h)
     monkeypatch.setattr(groups, "_member_orders", record)
     analyze(wreath_cyclic(5, 5), 5)
