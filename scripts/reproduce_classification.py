@@ -51,9 +51,9 @@ def main() -> int:
                   f"{rep.verdict:<20} {agree}")
 
     for prime in (2, 3):
-        rep = corollary_sharpness(prime, scanned[prime])
+        witnesses = corollary_sharpness(prime, scanned[prime])
         print(f"\nsharpness at p = {prime}:")
-        for w in rep.witnesses:
+        for w in witnesses:
             target = 2 ** w.n if prime == 2 else 3 ** w.n - 1
             relation = (">" if w.t_upper > w.small_p_bound else
                         "=" if w.t_upper == w.small_p_bound else "<")

@@ -47,8 +47,6 @@ from .oracle import (
     upper_lie_powers,
 )
 from .classify import (
-    ConsistencyReport,
-    Verdict,
     classify,
     corollary_sharpness,
     cross_validate,

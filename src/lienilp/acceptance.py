@@ -207,11 +207,11 @@ def criterion_sharpness(catalog: Catalog, reports: dict,
         for p, expected_name, expected_t in ((2, "C2wrC4", 8),
                                              (3, "C3wrC3", 8)):
             try:
-                rep = corollary_sharpness(
+                witnesses = corollary_sharpness(
                     p, list(_lie_nilpotent(reports, primes=(p,))))
             except NoWitnessFoundError:
                 return "fail", f"no sharpness witness for p = {p}"
-            names = {w.name: w for w in rep.witnesses}
+            names = {w.name: w for w in witnesses}
             if expected_name not in names:
                 return "fail", f"{expected_name} missing from p={p} witnesses"
             w = names[expected_name]

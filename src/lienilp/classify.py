@@ -73,25 +73,9 @@ def lemma2_profile(d: DVector) -> str | None:
     return None
 
 
-@dataclass
-class Verdict:
-    """Classification of (G, p) by its upper Lie nilpotency index."""
-
-    status: str          # not_lie_nilpotent | abelian | maximal |
-                         # almost_maximal | below
-    case: str | None     # structural case when almost maximal
-    t_upper: int | None
-    n: int | None
-
-    @property
-    def tag(self) -> str:
-        if self.status == "almost_maximal" and self.case:
-            return f"almost_maximal.{self.case}"
-        return self.status
-
-
 def _bucket(t: int, n: int, p: int) -> str:
-    """Status as a function of (t, n, p) alone."""
+    """Status as a function of (t, n, p) alone, and the one place that
+    compares t with the two top index values."""
     if n == 0:
         return "abelian"
     if t == p ** n + 1:
@@ -101,85 +85,53 @@ def _bucket(t: int, n: int, p: int) -> str:
     return "below"
 
 
-def classify(d: DVector | None, structural: str | None) -> Verdict:
-    """Bucket (G, p) by the upper index computed from the jump
-    exponents; ``d`` is None when KG is not Lie nilpotent.  The
-    structural case names an almost maximal verdict and never moves the
-    bucket."""
+def classify(d: DVector | None, structural: str | None) -> str:
+    """The verdict tag of (G, p): not_lie_nilpotent, abelian, maximal,
+    almost_maximal[.case] or below, bucketed by the upper index computed
+    from the jump exponents; ``d`` is None when KG is not Lie nilpotent.
+    The structural case names an almost maximal verdict and never moves
+    the bucket."""
     if d is None:
-        return Verdict(status="not_lie_nilpotent", case=None, t_upper=None,
-                       n=None)
-    t = upper_index_jennings(d)
-    status = _bucket(t, d.n, d.prime)
-    return Verdict(status=status,
-                   case=structural if status == "almost_maximal" else None,
-                   t_upper=t, n=d.n)
-
-
-@dataclass
-class ConsistencyReport:
-    """Agreement record for the three almost-maximal detectors."""
-
-    p: int
-    n: int
-    t_upper: int
-    structural_case: str | None
-    profile_case: str | None
-    numeric_almost_maximal: bool
-    consistent: bool
-    detail: str
+        return "not_lie_nilpotent"
+    status = _bucket(upper_index_jennings(d), d.n, d.prime)
+    if status == "almost_maximal" and structural:
+        return f"almost_maximal.{structural}"
+    return status
 
 
 def cross_validate(d: DVector, structural: str | None,
-                   profile: str | None) -> ConsistencyReport:
-    """Assert the three-way biconditional between the structural case,
-    the jump profile, and the computed index; disagreement is reported,
+                   profile: str | None) -> bool:
+    """Whether the structural case, the jump profile and the computed
+    index agree on an almost maximal index; disagreement is reported,
     not raised."""
-    p = d.prime
-    t = upper_index_jennings(d)
-    numeric = (d.n > 0) and t == p ** d.n - p + 2
-    consistent = (structural is not None) == numeric \
+    numeric = _bucket(upper_index_jennings(d), d.n, d.prime) \
+        == "almost_maximal"
+    return (structural is not None) == numeric \
         and (profile is not None) == numeric
-    detail = "all three detectors agree" if consistent else (
-        f"disagreement: structural={structural!r} profile={profile!r} "
-        f"numeric={numeric} (t={t}, n={d.n}, p={p})")
-    return ConsistencyReport(p=p, n=d.n, t_upper=t,
-                             structural_case=structural,
-                             profile_case=profile,
-                             numeric_almost_maximal=numeric,
-                             consistent=consistent, detail=detail)
 
 
 @dataclass
 class SharpnessWitness:
     name: str
-    order: int
     n: int
     t_upper: int
     small_p_bound: int   # p^(n-1) + 2p - 1, the bound valid for p >= 5
 
 
-@dataclass
-class SharpnessReport:
-    p: int
-    witnesses: list[SharpnessWitness]
-
-
 def corollary_sharpness(p: int, reports: Sequence[LieReport]
-                        ) -> SharpnessReport:
+                        ) -> list[SharpnessWitness]:
     """Exhibit analysed groups attaining the second-highest index value
     (2^n for p = 2, 3^n - 1 for p = 3), showing the bound for p >= 5
     does not extend down to p = 2, 3.  Reports at another prime are
     ignored."""
     if p not in (2, 3):
         raise ValueError("sharpness targets exist only for p = 2 and p = 3")
-    found = [SharpnessWitness(name=r.name, order=r.order, n=r.n,
+    found = [SharpnessWitness(name=r.name, n=r.n,
                               t_upper=r.t_upper_jennings,
                               small_p_bound=p ** (r.n - 1) + 2 * p - 1)
              for r in reports
-             if r.prime == p and r.n
-             and r.t_upper_jennings == p ** r.n - p + 2]
+             if r.prime == p and r.verdict.startswith("almost_maximal")]
     if not found:
         raise NoWitnessFoundError(
             f"no almost-maximal witness among the reports for p = {p}")
-    return SharpnessReport(p=p, witnesses=found)
+    return found

@@ -125,9 +125,8 @@ def _scan_summary(reports: list[LieReport], prime: int) -> dict:
     witnesses = []
     if prime in (2, 3):
         try:
-            rep = corollary_sharpness(prime, reports)
             witnesses = [{"name": w.name, "n": w.n, "t_upper": w.t_upper}
-                         for w in rep.witnesses]
+                         for w in corollary_sharpness(prime, reports)]
         except NoWitnessFoundError:
             pass
     return {

@@ -175,7 +175,10 @@ class Subgroup:
                  generators: Iterable[int] = (), *, closed: bool = False):
         if not isinstance(members, np.ndarray):
             members = list(members)     # a set or a range as well
-        mem = np.unique(np.asarray(members, dtype=np.intp))
+        # A closed=True caller hands over sorted, distinct indices.
+        mem = np.asarray(members, dtype=np.intp)
+        if not closed:
+            mem = np.unique(mem)
         if not mem.size or mem[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
         if parent.order % mem.size != 0:
@@ -247,10 +250,6 @@ class AbelianType:
             if prev is not None and f > prev:
                 raise ValueError("factors must be non-increasing")
             prev = f
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.factors) if self.factors else 1
 
 
 @dataclass(frozen=True)
@@ -565,11 +564,7 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup, action) -> FiniteGroup:
     homomorphism into Aut(n).
     """
     order = n.order * h.order
-    _check_cap(order, "product order")
-    if order > TABLE_BACKING_LIMIT:
-        raise CapExceededError(
-            "semidirect products above the table limit are not supported; "
-            "use a permutation construction such as wreath_cyclic")
+    _check_table(order, "semidirect product order")
     tn, th = _table_from_products(n), _table_from_products(h)
     acts = _as_action_arrays(n, h, action)
 
@@ -792,8 +787,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> Quotient:
     if not ok:
         raise NotNormalError(*witness)
     q = g.order // n.order
-    if q > TABLE_BACKING_LIMIT:
-        raise CapExceededError(f"quotient order {q} exceeds the table limit")
+    _check_table(q, "quotient order")
     proj = np.full(g.order, -1, dtype=TABLE_DTYPE)
     reps: list[int] = []
     for x in range(g.order):

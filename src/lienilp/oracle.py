@@ -263,8 +263,7 @@ class GroupAlgebra:
         self.group = group
         self.p = p
         self.n = group.order
-        self._inv = np.fromiter((group.inverse(i) for i in range(self.n)),
-                                count=self.n, dtype=np.intp)
+        self._inv = group._inverses.astype(np.intp)
         self._gens = tuple(s for s in dict.fromkeys(group.generators) if s)
         self._sides = [perm for s in self._gens
                        for perm in (self._left(s), self._right(s))]

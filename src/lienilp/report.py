@@ -149,7 +149,7 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         structural = theorem1_structural_case(prime, types)
         profile = lemma2_profile(dvec)
         checks["classification_biconditional"] = \
-            cross_validate(dvec, structural, profile).consistent
+            cross_validate(dvec, structural, profile)
 
     verdict = classify(dvec, structural)
     oracle = OracleResult(ran=False)
@@ -192,7 +192,7 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         n=n, l=l,
         t_upper_jennings=t_jennings,
         oracle=oracle,
-        verdict=verdict.tag,
+        verdict=verdict,
         structural_case=structural,
         profile_case=profile,
         checks=checks,

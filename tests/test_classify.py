@@ -99,21 +99,20 @@ def test_profile_positions_count():
 
 
 def test_classify_verdicts(built):
-    v = classify(*_facts(built("D8"), 2))
-    assert v.status == "maximal" and v.t_upper == 3 and v.tag == "maximal"
-    v = classify(*_facts(built("D8xD8"), 2))
-    assert v.tag == "almost_maximal.i" and v.t_upper == 4
-    v = classify(*_facts(built("C2wrC4"), 2))
-    assert v.tag == "almost_maximal.iii" and v.t_upper == 8
-    v = classify(*_facts(built("C3wrC3"), 3))
-    assert v.tag == "almost_maximal.iv" and v.t_upper == 8
-    v = classify(*_facts(built("C4xC2"), 2))
-    assert v.status == "abelian" and v.t_upper == 2 and v.n == 0
-    v = classify(None, None)
-    assert v.status == "not_lie_nilpotent" and v.t_upper is None
+    for name, p, tag, t in (("D8", 2, "maximal", 3),
+                            ("D8xD8", 2, "almost_maximal.i", 4),
+                            ("C2wrC4", 2, "almost_maximal.iii", 8),
+                            ("C3wrC3", 3, "almost_maximal.iv", 8),
+                            ("C4xC2", 2, "abelian", 2)):
+        d, structural = _facts(built(name), p)
+        assert classify(d, structural) == tag, name
+        assert upper_index_jennings(d) == t, name
+    assert classify(None, None) == "not_lie_nilpotent"
     # The structural case names the verdict but never moves the bucket.
     d, _ = _facts(built("D8"), 2)
-    assert classify(d, "i").tag == "maximal"
+    assert classify(d, "i") == "maximal"
+    d, _ = _facts(built("D8xD8"), 2)
+    assert classify(d, None) == "almost_maximal"
 
 
 def test_bucket_depends_only_on_numbers():
@@ -128,20 +127,19 @@ def test_bucket_depends_only_on_numbers():
 
 def test_cross_validate(built):
     d, structural = _facts(built("D8"), 2)
-    rep = cross_validate(d, structural, lemma2_profile(d))
-    assert rep.consistent
-    assert rep.structural_case is None and rep.profile_case is None
-    assert not rep.numeric_almost_maximal
+    assert structural is None and lemma2_profile(d) is None
+    assert cross_validate(d, structural, lemma2_profile(d)) is True
     for name, p in (("C2wrC4", 2), ("C3wrC3", 3), ("D8xD8", 2)):
         d, structural = _facts(built(name), p)
-        rep = cross_validate(d, structural, lemma2_profile(d))
-        assert rep.consistent and rep.numeric_almost_maximal
-        assert rep.structural_case is not None
-        assert rep.profile_case is not None
+        profile = lemma2_profile(d)
+        assert structural is not None and profile is not None
+        assert _bucket(upper_index_jennings(d), d.n, p) == "almost_maximal"
+        assert cross_validate(d, structural, profile) is True
+        # A detector that misses an almost maximal index disagrees.
+        assert cross_validate(d, structural, None) is False
     # A structural case the index does not back is reported, not raised.
     d, _ = _facts(built("D8"), 2)
-    rep = cross_validate(d, "i", None)
-    assert not rep.consistent and rep.detail.startswith("disagreement")
+    assert cross_validate(d, "i", None) is False
 
 
 def test_maximal_iff_cyclic_derived(catalog_reports):
@@ -178,20 +176,25 @@ def test_p5_bound_for_noncyclic_derived(catalog):
 
 def test_corollary_sharpness(catalog_reports):
     reports = list(catalog_reports.values())
-    rep2 = corollary_sharpness(2, reports)
-    names2 = {w.name: w for w in rep2.witnesses}
+    wit2 = corollary_sharpness(2, reports)
+    names2 = {w.name: w for w in wit2}
     assert "C2wrC4" in names2 and names2["C2wrC4"].t_upper == 8 == 2 ** 3
     # Some witness meets the p >= 5 bound, so it fails at p = 2.
-    assert any(w.t_upper >= w.small_p_bound for w in rep2.witnesses)
-    rep3 = corollary_sharpness(3, reports)
-    names3 = {w.name: w for w in rep3.witnesses}
+    assert any(w.t_upper >= w.small_p_bound for w in wit2)
+    wit3 = corollary_sharpness(3, reports)
+    names3 = {w.name: w for w in wit3}
     assert "C3wrC3" in names3
     w = names3["C3wrC3"]
     assert w.t_upper == 8 == 3 ** 2 - 1
     assert w.small_p_bound == 8       # met with equality, so no stronger gap
     # Only reports at the asked prime count.
     assert corollary_sharpness(
-        3, [r for r in reports if r.prime == 3]).witnesses == rep3.witnesses
+        3, [r for r in reports if r.prime == 3]) == wit3
+    # One threshold: the witnesses are the almost maximal verdicts.
+    for p, wits in ((2, wit2), (3, wit3)):
+        assert [w.name for w in wits] == \
+            [r.name for r in reports if r.prime == p and r.lie_nilpotent
+             and r.verdict.startswith("almost_maximal")]
     with pytest.raises(NoWitnessFoundError):
         corollary_sharpness(2, [catalog_reports["C4", 2]])
     with pytest.raises(NoWitnessFoundError):

@@ -663,6 +663,23 @@ def test_product_backing_matches_table(catalog, monkeypatch):
                 == analyze(t, p, name=name, run_oracle=False).to_json_dict()
 
 
+def test_table_only_builders_refuse_above_the_table_limit(monkeypatch):
+    """semidirect_product and quotient build tables alone: above
+    TABLE_BACKING_LIMIT each refuses with the one table message, which
+    names the limit; at the limit each builds."""
+    c4, c2, d8 = cyclic_group(4), cyclic_group(2), dihedral_group(8)
+    invert = [[0, 1, 2, 3], [0, 3, 2, 1]]
+    monkeypatch.setattr(groups, "TABLE_BACKING_LIMIT", 4)
+    with pytest.raises(CapExceededError, match="^semidirect product order 8 "
+                       "is above 4, the largest order built as a table$"):
+        semidirect_product(c4, c2, invert)
+    with pytest.raises(CapExceededError, match="^quotient order 8 is above "
+                       "4, the largest order built as a table$"):
+        quotient(d8, trivial_subgroup(d8))
+    assert semidirect_product(c2, c2, [[0, 1], [0, 1]]).order == 4
+    assert quotient(d8, center(d8)).group.order == 4
+
+
 # --- element operations ----------------------------------------------------------
 
 
@@ -710,6 +727,19 @@ def test_subgroup_members_are_one_sorted_read_only_array():
     assert [x in h for x in range(9)] == [True, False, True, False,
                                           True, False, True, False, False]
     assert 7 not in subgroup_generated(d8, [1])
+    # The constructors that pass closed=True hand over sorted, distinct
+    # members, which the subgroup keeps as they are, on every backing.
+    perm = wreath_cyclic(2, 8)
+    backed = (d8, perm, direct_product(perm, cyclic_group(2)))
+    assert [g.backing for g in backed] == ["table", "permutation", "product"]
+    for g in backed:
+        s = g.generators[-1]
+        for sub in (trivial_subgroup(g), full_subgroup(g),
+                    subgroup_generated(g, [s, s]),
+                    groups.normal_closure(g, [s]), center(g)):
+            m = sub.members
+            assert m.dtype == np.intp and not m.flags.writeable, (g, sub)
+            assert np.array_equal(m, np.unique(m)), (g, sub)
 
 
 def test_subgroup_generated_matches_brute_force():
