@@ -15,7 +15,8 @@ skipped.  Recognised construction kinds and their fields:
                               "action": {"<h-index>": [perm of n indices]}}
 
 Semidirect actions may be given on a generating subset of the acting
-group; the remaining automorphisms are filled in by composition.
+group: ``semidirect_product`` completes the remaining automorphisms by
+composition and checks that the result is a homomorphism.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     CapExceededError,
     CatalogParseError,
-    NotHomomorphismError,
     UnknownConstructionError,
     UnresolvedReferenceError,
 )
@@ -89,34 +87,6 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
         entries.append(CatalogEntry(name=name, kind=kind, params=params,
                                     line=lineno))
     return entries
-
-
-def _expand_action(h: FiniteGroup, n_order: int, given: dict) -> dict:
-    """Complete a generator-indexed action to all of h breadth first:
-    x * s acts as x's image after s's.  ``semidirect_product`` checks
-    that the result is a homomorphism."""
-    gens: dict[int, np.ndarray] = {}
-    for key, perm in given.items():
-        j = int(key)
-        arr = np.asarray(perm, dtype=np.int64)
-        if arr.shape != (n_order,):
-            raise NotHomomorphismError(
-                f"action image for element {j} has length {arr.size}, "
-                f"expected {n_order}")
-        gens[j] = arr
-    acts = {0: np.arange(n_order, dtype=np.int64), **gens}
-    queue = list(acts)
-    for x in queue:
-        for s, a in gens.items():
-            xs = h.multiply(x, s)
-            if xs not in acts:
-                acts[xs] = acts[x][a]
-                queue.append(xs)
-    if len(acts) < h.order:
-        raise NotHomomorphismError(
-            "action images do not cover the acting group (keys must "
-            "generate it)")
-    return acts
 
 
 class Catalog:
@@ -239,6 +209,6 @@ def _construct(entry: CatalogEntry, parts: list[FiniteGroup]) -> FiniteGroup:
             raise CatalogParseError(
                 entry.line, f"semidirect entry {entry.name!r}: 'action' must "
                             f"be keyed by element indices below {h.order}")
-        acts = _expand_action(h, n.order, action)
-        return semidirect_product(n, h, acts)
+        return semidirect_product(
+            n, h, {int(k): image for k, image in action.items()})
     raise UnknownConstructionError(f"unknown construction kind {kind!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .dimension import DVector, upper_index_jennings
+from .dimension import DVector
 from .errors import NoWitnessFoundError
 from .groups import AbelianType
 
@@ -85,27 +85,27 @@ def _bucket(t: int, n: int, p: int) -> str:
     return "below"
 
 
-def classify(d: DVector | None, structural: str | None) -> str:
+def classify(d: DVector | None, t: int | None,
+             structural: str | None) -> str:
     """The verdict tag of (G, p): not_lie_nilpotent, abelian, maximal,
-    almost_maximal[.case] or below, bucketed by the upper index computed
-    from the jump exponents; ``d`` is None when KG is not Lie nilpotent.
-    The structural case names an almost maximal verdict and never moves
-    the bucket."""
+    almost_maximal[.case] or below, bucketed by the upper index ``t``
+    computed from the jump exponents ``d``; both are None when KG is not
+    Lie nilpotent.  The structural case names an almost maximal verdict
+    and never moves the bucket."""
     if d is None:
         return "not_lie_nilpotent"
-    status = _bucket(upper_index_jennings(d), d.n, d.prime)
+    status = _bucket(t, d.n, d.prime)
     if status == "almost_maximal" and structural:
         return f"almost_maximal.{structural}"
     return status
 
 
-def cross_validate(d: DVector, structural: str | None,
+def cross_validate(d: DVector, t: int, structural: str | None,
                    profile: str | None) -> bool:
-    """Whether the structural case, the jump profile and the computed
-    index agree on an almost maximal index; disagreement is reported,
-    not raised."""
-    numeric = _bucket(upper_index_jennings(d), d.n, d.prime) \
-        == "almost_maximal"
+    """Whether the structural case, the jump profile and the index ``t``
+    computed from ``d`` agree on an almost maximal index; disagreement
+    is reported, not raised."""
+    numeric = _bucket(t, d.n, d.prime) == "almost_maximal"
     return (structural is not None) == numeric \
         and (profile is not None) == numeric
 

@@ -541,50 +541,52 @@ def _table_from_products(g: FiniteGroup) -> np.ndarray:
     return t
 
 
-def _as_action_arrays(n: FiniteGroup, h: FiniteGroup, action) -> np.ndarray:
-    """Normalise an action, a dict or a sequence indexed by h-element,
-    to an (|h| x |n|) array of index maps."""
-    if len(action) != h.order:
-        raise NotHomomorphismError(
-            f"action must give one automorphism per element of the "
-            f"acting group ({h.order} expected, {len(action)} given)")
-    try:
-        return np.array([action[j] for j in range(h.order)], dtype=np.int64)
-    except KeyError as exc:
-        raise NotHomomorphismError(
-            f"action is missing an image for element {exc.args[0]}") from None
-
-
 def semidirect_product(n: FiniteGroup, h: FiniteGroup, action) -> FiniteGroup:
     """Build n x| h with multiplication (n1,h1)(n2,h2) = (n1*h1(n2), h1 h2).
 
-    ``action`` maps every element of h to an automorphism of n given as a
-    permutation of n's element indices (a dict keyed by h-index or a
-    sequence ordered by h-index).  The map is checked to be a
+    ``action`` maps h-indices to automorphisms of n, each a permutation
+    of n's element indices (a dict keyed by h-index, or a sequence read
+    as the mapping of its positions).  Images may be given on a
+    generating subset of h: the others are composed breadth first along
+    h's table, x * s acting as x's image after s's.  Every such step,
+    new or not, is checked to compose, which proves the map a
     homomorphism into Aut(n).
     """
     order = n.order * h.order
     _check_table(order, "semidirect product order")
     tn, th = _table_from_products(n), _table_from_products(h)
-    acts = _as_action_arrays(n, h, action)
 
     idx = np.arange(n.order)
-    for j in range(h.order):
-        a = acts[j]
-        if not np.array_equal(np.sort(a), idx):
+    given: dict[int, np.ndarray] = {}
+    for j, image in (action.items() if isinstance(action, dict)
+                     else enumerate(action)):
+        if not isinstance(j, (int, np.integer)) or not 0 <= j < h.order:
+            raise NotHomomorphismError(
+                f"action key {j!r} is not an element index below {h.order}")
+        a = np.asarray(image, dtype=np.int64)
+        if a.shape != idx.shape or not np.array_equal(np.sort(a), idx):
             raise NotAutomorphismError(
                 f"action of element {j} is not a bijection on the normal "
                 f"part")
         if a[0] != 0 or not np.array_equal(a[tn], tn[np.ix_(a, a)]):
             raise NotAutomorphismError(
                 f"action of element {j} does not preserve multiplication")
-    if not np.array_equal(acts[0], idx):
-        raise NotHomomorphismError("identity must act trivially")
-    for j in range(h.order):
-        for k in range(h.order):
-            if not np.array_equal(acts[int(th[j, k])], acts[j][acts[k]]):
+        given[int(j)] = a
+    acts = [idx] + [None] * (h.order - 1)
+    queue = [0]
+    for x in queue:
+        for s, a in given.items():
+            xs, step = int(th[x, s]), acts[x][a]
+            if acts[xs] is None:
+                acts[xs] = step
+                queue.append(xs)
+            elif not np.array_equal(acts[xs], step):
                 raise NotHomomorphismError(
-                    f"action is not multiplicative at the pair ({j}, {k})")
+                    f"action is not multiplicative at the pair ({x}, {s})")
+    if len(queue) < h.order:
+        raise NotHomomorphismError(
+            "action images do not cover the acting group (keys must "
+            "generate it)")
 
     # TABLE_DTYPE throughout: entries stay below the order.
     nh = h.order

@@ -149,9 +149,9 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         structural = theorem1_structural_case(prime, types)
         profile = lemma2_profile(dvec)
         checks["classification_biconditional"] = \
-            cross_validate(dvec, structural, profile)
+            cross_validate(dvec, t_jennings, structural, profile)
 
-    verdict = classify(dvec, structural)
+    verdict = classify(dvec, t_jennings, structural)
     oracle = OracleResult(ran=False)
     if run_oracle is None:
         run_oracle = g.order <= oracle_cap

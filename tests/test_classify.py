@@ -105,14 +105,14 @@ def test_classify_verdicts(built):
                             ("C3wrC3", 3, "almost_maximal.iv", 8),
                             ("C4xC2", 2, "abelian", 2)):
         d, structural = _facts(built(name), p)
-        assert classify(d, structural) == tag, name
         assert upper_index_jennings(d) == t, name
-    assert classify(None, None) == "not_lie_nilpotent"
+        assert classify(d, t, structural) == tag, name
+    assert classify(None, None, None) == "not_lie_nilpotent"
     # The structural case names the verdict but never moves the bucket.
     d, _ = _facts(built("D8"), 2)
-    assert classify(d, "i") == "maximal"
+    assert classify(d, 3, "i") == "maximal"
     d, _ = _facts(built("D8xD8"), 2)
-    assert classify(d, None) == "almost_maximal"
+    assert classify(d, 4, None) == "almost_maximal"
 
 
 def test_bucket_depends_only_on_numbers():
@@ -128,18 +128,19 @@ def test_bucket_depends_only_on_numbers():
 def test_cross_validate(built):
     d, structural = _facts(built("D8"), 2)
     assert structural is None and lemma2_profile(d) is None
-    assert cross_validate(d, structural, lemma2_profile(d)) is True
+    assert cross_validate(d, 3, structural, lemma2_profile(d)) is True
     for name, p in (("C2wrC4", 2), ("C3wrC3", 3), ("D8xD8", 2)):
         d, structural = _facts(built(name), p)
         profile = lemma2_profile(d)
+        t = upper_index_jennings(d)
         assert structural is not None and profile is not None
-        assert _bucket(upper_index_jennings(d), d.n, p) == "almost_maximal"
-        assert cross_validate(d, structural, profile) is True
+        assert _bucket(t, d.n, p) == "almost_maximal"
+        assert cross_validate(d, t, structural, profile) is True
         # A detector that misses an almost maximal index disagrees.
-        assert cross_validate(d, structural, None) is False
+        assert cross_validate(d, t, structural, None) is False
     # A structural case the index does not back is reported, not raised.
     d, _ = _facts(built("D8"), 2)
-    assert cross_validate(d, "i", None) is False
+    assert cross_validate(d, 3, "i", None) is False
 
 
 def test_maximal_iff_cyclic_derived(catalog_reports):

@@ -167,6 +167,12 @@ def test_shalev_vanishing_clean(catalog):
         series = series_recursive(g, p)
         assert shalev_vanishing_report(series, d_vector(series)) == [], \
             f"{name}@p{p}"
+    # A d-vector that misses D8's jump at k = 2 leaves D_2 nontrivial
+    # where the power rule forces it trivial.
+    d8 = series_recursive(catalog.build("D8"), 2)
+    assert shalev_vanishing_report(
+        d8, DVector(prime=2, entries={}, n=1, l=1)) == \
+        [{"k": 2, "m": 1, "term_order": 2, "rule": "power"}]
 
 
 def test_quotient_series_check(built):

@@ -510,12 +510,72 @@ def test_semidirect_rejects_non_homomorphism():
         semidirect_product(c4, c2, [[0, 1, 2, 3], alpha])
 
 
+def _metacyclic(m, k, r):
+    """C_m x| C_k with the generator of C_k acting as x -> r x, given by
+    its image alone."""
+    return semidirect_product(cyclic_group(m), cyclic_group(k),
+                              {1: [r * x % m for x in range(m)]})
+
+
+@pytest.mark.parametrize("m,k,r,p,t", [(16, 4, 5, 2, 5), (27, 3, 10, 3, 4)])
+def test_metacyclic_from_generator_image(m, k, r, p, t):
+    """Completed from one generator image, C16 x| C4 (x -> 5x) and
+    C27 x| C3 (x -> 10x) have cyclic G' of order t - 1, so the upper
+    index is maximal, |G'| + 1, on every route."""
+    from lienilp.report import analyze
+
+    g = _metacyclic(m, k, r)
+    assert g.order == m * k
+    rep = analyze(g, p, run_oracle=True)
+    assert [term["order"] for term in rep.gamma_series] == [m * k, t - 1, 1]
+    assert rep.verdict == "maximal"
+    assert rep.oracle.t_upper == rep.t_upper_jennings == t
+    assert all(rep.checks.values()), rep.checks
+
+
+def test_semidirect_generator_image_matches_full_action():
+    full = [[pow(5, j, 16) * x % 16 for x in range(16)] for j in range(4)]
+    want = semidirect_product(cyclic_group(16), cyclic_group(4), full)
+    assert _metacyclic(16, 4, 5).dense_table().tobytes() == \
+        want.dense_table().tobytes()
+
+
+def test_semidirect_rejects_generator_image_of_wrong_order():
+    """4 has order 9 mod 27, so x -> 4x is no image of an order-3
+    generator: the step that closes the cycle, (2, 1), fails."""
+    with pytest.raises(NotHomomorphismError, match=r"pair \(2, 1\)"):
+        _metacyclic(27, 3, 4)
+
+
+@pytest.mark.parametrize("key", [4, -1, "1", 1.0])
+def test_semidirect_rejects_bad_action_key(key):
+    with pytest.raises(NotHomomorphismError, match="^action key "):
+        semidirect_product(cyclic_group(16), cyclic_group(4),
+                           {key: [5 * x % 16 for x in range(16)]})
+
+
+def test_semidirect_identity_must_act_trivially():
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    with pytest.raises(NotHomomorphismError, match=r"pair \(0, 0\)"):
+        semidirect_product(c4, c2, {0: [0, 3, 2, 1], 1: [0, 3, 2, 1]})
+
+
 def _int64_semidirect_table(n, h, action):
-    """The table as semidirect_product once built it: int64 copies of
-    both factor tables and an int64 result."""
+    """The table as semidirect_product once built it, from int64 copies
+    of both factor tables, with the action completed here: breadth first
+    along h's table, x * s acting as x's image after s's."""
     tn = n.dense_table().astype(np.int64)
     th = h.dense_table().astype(np.int64)
-    acts = [np.asarray(action[j], dtype=np.int64) for j in range(h.order)]
+    given = action if isinstance(action, dict) else dict(enumerate(action))
+    acts = {0: np.arange(n.order)}
+    queue = [0]
+    for x in queue:
+        for s, a in given.items():
+            xs = int(th[x, s])
+            if xs not in acts:
+                acts[xs] = acts[x][np.asarray(a)]
+                queue.append(xs)
+    assert len(acts) == h.order
     nh = h.order
     table = np.empty((n.order * nh, n.order * nh), dtype=np.int64)
     for j1 in range(nh):
