@@ -17,18 +17,23 @@ skipped.  Recognised construction kinds and their fields:
 Semidirect actions may be given on a generating subset of the acting
 group: ``semidirect_product`` completes the remaining automorphisms by
 composition and checks that the result is a homomorphism.
+
+A malformed field is a ``CatalogParseError`` naming its line.  Any
+other error a builder raises keeps its type and fields, and its
+message ends in ``(catalog line N, entry 'X')``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 from .errors import (
-    CapExceededError,
     CatalogParseError,
+    LieNilpError,
     UnknownConstructionError,
     UnresolvedReferenceError,
 )
@@ -45,8 +50,32 @@ from .groups import (
     wreath_cyclic,
 )
 
-_KINDS = {"cyclic", "dihedral", "quaternion8", "extraspecial", "table",
-          "permutations", "direct_product", "wreath_cyclic", "semidirect"}
+# Each kind's fields, read in order, and its builder, called with their
+# values.  The lambdas look their builder up when called, so a wrapped
+# or patched builder is the one that runs.  A field of entry names
+# ("factors", "parts") reaches the builder as the built groups.
+_BUILDERS = {
+    "cyclic": (("order",), lambda order: cyclic_group(order)),
+    "dihedral": (("order",), lambda order: dihedral_group(order)),
+    "quaternion8": ((), lambda: quaternion_group8()),
+    "extraspecial": (("p",), lambda p: extraspecial_exponent_p(p)),
+    "table": (("table",), lambda rows: from_multiplication_table(rows)),
+    "permutations": (("degree", "generators"),
+                     lambda d, gens: from_permutation_generators(d, gens)),
+    "wreath_cyclic": (("p", "q"), lambda p, q: wreath_cyclic(p, q)),
+    "direct_product": (("factors",),
+                       lambda factors: reduce(direct_product, factors)),
+    "semidirect": (("parts", "action"), lambda parts, action:
+                   semidirect_product(*parts, {int(k): image for k, image
+                                               in action.items()})),
+}
+
+# The fields that name entries: how many names each takes, and the
+# error that says so.
+_REFERENCES = {
+    "factors": (lambda n: n >= 2, "direct_product needs at least two factors"),
+    "parts": (lambda n: n == 2, "semidirect needs parts = [normal, acting]"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,7 +106,7 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
         kind = obj.get("kind")
         if not isinstance(name, str) or not name:
             raise CatalogParseError(lineno, "entry needs a 'name' string")
-        if kind not in _KINDS:
+        if kind not in _BUILDERS:
             raise UnknownConstructionError(
                 f"line {lineno}: unknown construction kind {kind!r}")
         if name in seen:
@@ -116,16 +145,22 @@ class Catalog:
         if name in stack[:-1]:
             raise UnresolvedReferenceError(f"cyclic reference {chain}")
         entry = self.by_name[name]
-        key = {"direct_product": "factors",
-               "semidirect": "parts"}.get(entry.kind)
-        parts = [self._build(n, stack)
-                 for n in (_require(entry, key) if key else ())]
+        keys, builder = _BUILDERS[entry.kind]
+        args = [_require(entry, key) for key in keys]
+        for i, key in enumerate(keys):
+            if key in _REFERENCES:
+                fits, message = _REFERENCES[key]
+                if not fits(len(args[i])):
+                    raise CatalogParseError(entry.line, message)
+                args[i] = [self._build(n, stack) for n in args[i]]
         try:
-            group = _construct(entry, parts)
-        except (CapExceededError, ValueError) as exc:
-            # The builder's own type, so its callers' handlers still fit.
-            raise type(exc)(f"{exc} (catalog line {entry.line}, entry "
-                            f"{name!r})") from None
+            group = builder(*args)
+        except (LieNilpError, ValueError) as exc:
+            # The same object, so its type and fields (.triple, .element)
+            # reach the callers' handlers unchanged.
+            exc.args = (f"{exc} (catalog line {entry.line}, entry "
+                        f"{name!r})",)
+            raise
         self._built[name] = group
         return group
 
@@ -170,45 +205,3 @@ def _require(entry: CatalogEntry, key: str):
             entry.line, f"{entry.kind} entry {entry.name!r}: {key!r} must "
                         f"be {what}")
     return value
-
-
-def _construct(entry: CatalogEntry, parts: list[FiniteGroup]) -> FiniteGroup:
-    """Build an entry from its fields and its built references."""
-    kind = entry.kind
-    if kind == "cyclic":
-        return cyclic_group(_require(entry, "order"))
-    if kind == "dihedral":
-        return dihedral_group(_require(entry, "order"))
-    if kind == "quaternion8":
-        return quaternion_group8()
-    if kind == "extraspecial":
-        return extraspecial_exponent_p(_require(entry, "p"))
-    if kind == "table":
-        return from_multiplication_table(_require(entry, "table"))
-    if kind == "permutations":
-        return from_permutation_generators(
-            _require(entry, "degree"), _require(entry, "generators"))
-    if kind == "wreath_cyclic":
-        return wreath_cyclic(_require(entry, "p"),
-                             _require(entry, "q"))
-    if kind == "direct_product":
-        if len(parts) < 2:
-            raise CatalogParseError(
-                entry.line, "direct_product needs at least two factors")
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = direct_product(out, nxt)
-        return out
-    if kind == "semidirect":
-        if len(parts) != 2:
-            raise CatalogParseError(
-                entry.line, "semidirect needs parts = [normal, acting]")
-        n, h = parts
-        action = _require(entry, "action")
-        if any(int(k) >= h.order for k in action):
-            raise CatalogParseError(
-                entry.line, f"semidirect entry {entry.name!r}: 'action' must "
-                            f"be keyed by element indices below {h.order}")
-        return semidirect_product(
-            n, h, {int(k): image for k, image in action.items()})
-    raise UnknownConstructionError(f"unknown construction kind {kind!r}")

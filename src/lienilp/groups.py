@@ -604,7 +604,12 @@ def wreath_cyclic(p: int, q: int) -> FiniteGroup:
     coordinate shift, realised as permutations of p*q points."""
     if p < 1 or q < 1:
         raise ValueError("wreath factors must be positive")
-    _check_cap(p ** q * q, "wreath order")
+    # 2^q alone exceeds the cap once q reaches its bit length, so p^q is
+    # only formed when it is small.
+    cap = DEFAULT_ORDER_CAP
+    if p > 1 and q >= cap.bit_length() or p ** q * q > cap:
+        raise CapExceededError(
+            f"wreath order p^q * q for p = {p}, q = {q} exceeds cap {cap}")
     degree = p * q
     base = [(x + 1) % p if x < p else x for x in range(degree)]
     shift = [(x + p) % degree for x in range(degree)]

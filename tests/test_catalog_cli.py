@@ -7,7 +7,12 @@ import pytest
 from lienilp.catalog import Catalog, load_catalog
 from lienilp.cli import main
 from lienilp.errors import (
+    CapExceededError,
     CatalogParseError,
+    NoIdentityError,
+    NoInverseError,
+    NotAssociativeError,
+    NotAutomorphismError,
     NotHomomorphismError,
     NotPrimeError,
     UnknownConstructionError,
@@ -244,14 +249,60 @@ def test_builder_refusal_names_its_entry(tmp_path, capsys, command):
                    "order built as a table (catalog line 2, entry 'Big')\n")
 
 
+@pytest.mark.parametrize("fields,error,message", [
+    ('"kind": "table", "table": [[0, 1, 2], [1, 2, 2], [2, 2, 1]]',
+     NotAssociativeError, "multiplication table is not associative"),
+    ('"kind": "table", "table": [[1, 1], [1, 1]]', NoIdentityError,
+     "multiplication table has no two-sided identity"),
+    ('"kind": "table", "table": [[0, 1], [1, 1]]', NoInverseError,
+     "element 1 has no two-sided inverse"),
+    ('"kind": "semidirect", "parts": ["C4", "C2"], "action": '
+     '{"1": [0, 2, 1, 3]}', NotAutomorphismError,
+     "action of element 1 does not preserve multiplication"),
+    ('"kind": "semidirect", "parts": ["C5", "C2"], "action": '
+     '{"1": [0, 2, 4, 1, 3]}', NotHomomorphismError,
+     "action is not multiplicative at the pair"),
+    ('"kind": "semidirect", "parts": ["C2", "C2"], "action": {"2": [0, 1]}',
+     NotHomomorphismError, "action key 2 is not an element index below 2"),
+    ('"kind": "cyclic", "order": 65536', CapExceededError,
+     "cyclic order 65536 is above 4096"),
+    ('"kind": "wreath_cyclic", "p": 3, "q": 1000000', CapExceededError,
+     "wreath order p^q * q for p = 3, q = 1000000 exceeds cap 65536"),
+])
+def test_every_builder_error_names_its_entry(tmp_path, capsys, fields, error,
+                                             message):
+    """Whatever a builder raises, analyze and scan exit 2 with one error
+    line that ends in the entry's catalog line and name, and
+    Catalog.build raises the builder's own error with its fields."""
+    f = tmp_path / "bad.jsonl"
+    f.write_text('{"kind": "cyclic", "name": "C2", "order": 2}\n'
+                 '{"kind": "cyclic", "name": "C4", "order": 4}\n'
+                 '{"kind": "cyclic", "name": "C5", "order": 5}\n'
+                 f'{{"name": "X", {fields}}}\n')
+    for argv in (["analyze", "X"], ["scan"]):
+        rc = main(argv + ["--prime", "2", "--catalog", str(f)])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert err.startswith(f"error: {message}"), err
+        assert err.endswith(" (catalog line 4, entry 'X')\n"), err
+        assert err.count("\n") == 1
+    with pytest.raises(error) as raised:
+        Catalog(load_catalog(f)).build("X")
+    assert type(raised.value) is error
+    if error is NotAssociativeError:
+        i, j, k = raised.value.triple
+        t = [[0, 1, 2], [1, 2, 2], [2, 2, 1]]
+        assert t[t[i][j]][k] != t[i][t[j][k]]
+    if error is NoInverseError:
+        assert raised.value.element == 1
+
+
 @pytest.mark.parametrize("fields,key", [
     ('"kind": "cyclic", "order": [4]', "order"),
     ('"kind": "cyclic", "order": null', "order"),
     ('"kind": "permutations", "degree": 3, "generators": 5', "generators"),
     ('"kind": "direct_product", "factors": [1, 2]', "factors"),
     ('"kind": "semidirect", "parts": ["C2", "C2"], "action": {"x": [0, 1]}',
-     "action"),
-    ('"kind": "semidirect", "parts": ["C2", "C2"], "action": {"2": [0, 1]}',
      "action"),
 ])
 def test_bad_field_type_exits_2(tmp_path, capsys, fields, key):

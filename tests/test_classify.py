@@ -1,7 +1,10 @@
 """Structural, profile-based, and numeric extremal-index detection."""
 
+from pathlib import Path
+
 import pytest
 
+from lienilp.catalog import Catalog
 from lienilp.classify import (
     _bucket,
     classify,
@@ -21,6 +24,7 @@ from lienilp.groups import (
     lower_central_series,
 )
 from lienilp.dimension import is_lie_nilpotent
+from lienilp.report import analyze
 
 
 def _types(g):
@@ -47,6 +51,25 @@ def test_structural_cases(built):
         2, [None, AbelianType((2, 2)), trivial]) == "i"
     assert theorem1_structural_case(
         3, [None, AbelianType((2, 2)), trivial]) is None
+
+
+def test_case_ii_witness():
+    """W64ii (order 64, class 4) is a witness of structural case ii:
+    gamma_2 of type (4, 2) and gamma_3 of type (2, 2).  Every detector
+    reads ii, and the oracle's upper index is |G'| - p + 2 = 8."""
+    path = Path(__file__).parent / "data" / "case_ii.jsonl"
+    g = Catalog.load(path).build("W64ii")
+    rep = analyze(g, 2, name="W64ii", run_oracle=True).to_json_dict()
+    gamma = rep["gamma_series"]
+    assert [t["abelian_type"] for t in gamma] == \
+        [None, [4, 2], [2, 2], [2], []]
+    assert {int(k): v for k, v in rep["d_vector"].items()} == \
+        {2: 1, 3: 1, 4: 1}
+    assert rep["verdict"] == "almost_maximal.ii"
+    assert rep["structural_case"] == rep["profile_case"] == "ii"
+    assert rep["t_upper_jennings"] == rep["oracle"]["t_upper"] == 8 == \
+        gamma[1]["order"] - 2 + 2
+    assert all(rep["checks"].values()), rep["checks"]
 
 
 def test_case_iv_witness_has_cyclic_third_term(built):
