@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Show the formula route scaling far past the explicit-algebra regime.
 
-The brute-force oracle is quadratic-space in |G| and stops near order
-128.  The subgroup-series route only touches group elements, so it
+The explicit group-algebra oracle is quadratic-space in |G|: it
+refuses groups above order 1024, and the CLI runs it by default only up
+to order 512.  The subgroup-series route only touches group elements, so it
 handles the order-2048 and order-15625 wreath products (permutation
 backing, no table at all) and the order-65536 direct product
 C2wrC8 x C8 x C4 (product backing: each factor multiplies on its own)

@@ -70,11 +70,11 @@ _BUILDERS = {
                                                in action.items()})),
 }
 
-# The fields that name entries: how many names each takes, and the
-# error that says so.
+# The fields that name entries: how many names each takes, and what an
+# entry with another number needs.
 _REFERENCES = {
-    "factors": (lambda n: n >= 2, "direct_product needs at least two factors"),
-    "parts": (lambda n: n == 2, "semidirect needs parts = [normal, acting]"),
+    "factors": (lambda n: n >= 2, "needs at least two factors"),
+    "parts": (lambda n: n == 2, "needs parts = [normal, acting]"),
 }
 
 
@@ -108,7 +108,7 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
             raise CatalogParseError(lineno, "entry needs a 'name' string")
         if kind not in _BUILDERS:
             raise UnknownConstructionError(
-                f"line {lineno}: unknown construction kind {kind!r}")
+                lineno, f"unknown construction kind {kind!r}")
         if name in seen:
             raise CatalogParseError(lineno, f"duplicate name {name!r}")
         seen.add(name)
@@ -149,9 +149,10 @@ class Catalog:
         args = [_require(entry, key) for key in keys]
         for i, key in enumerate(keys):
             if key in _REFERENCES:
-                fits, message = _REFERENCES[key]
+                fits, needs = _REFERENCES[key]
                 if not fits(len(args[i])):
-                    raise CatalogParseError(entry.line, message)
+                    raise CatalogParseError(
+                        entry.line, f"{entry.kind} entry {name!r} {needs}")
                 args[i] = [self._build(n, stack) for n in args[i]]
         try:
             group = builder(*args)

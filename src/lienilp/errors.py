@@ -125,7 +125,7 @@ class CatalogParseError(LieNilpError):
         super().__init__(f"catalog line {line}: {message}")
 
 
-class UnknownConstructionError(LieNilpError):
+class UnknownConstructionError(CatalogParseError):
     """A catalog entry names a construction kind that does not exist."""
 
 

@@ -281,6 +281,6 @@ def built(catalog):
 @pytest.fixture(scope="session")
 def catalog_reports(catalog):
     """Every shipped entry analysed at p = 2, 3, 5 with the CLI defaults
-    (oracle up to order 256), keyed by (name, p); the acceptance
-    criteria read the same reports."""
+    (oracle up to order DEFAULT_ORACLE_CAP, 512), keyed by (name, p);
+    the acceptance criteria read the same reports."""
     return analyze_catalog(catalog, DEFAULT_ORACLE_CAP)

@@ -61,8 +61,28 @@ def test_duplicate_name_rejected(tmp_path):
 def test_unknown_kind(tmp_path):
     f = tmp_path / "weird.jsonl"
     f.write_text('{"kind": "sporadic", "name": "M"}\n')
-    with pytest.raises(UnknownConstructionError):
+    with pytest.raises(UnknownConstructionError) as err:
         load_catalog(f)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("entry,message", [
+    ('{"kind": "sporadic", "name": "X"}',
+     "catalog line 1: unknown construction kind 'sporadic'"),
+    ('{"kind": "direct_product", "name": "X", "factors": ["C2"]}',
+     "catalog line 1: direct_product entry 'X' needs at least two factors"),
+    ('{"kind": "semidirect", "name": "X", "parts": ["C2"], "action": {}}',
+     "catalog line 1: semidirect entry 'X' needs parts = [normal, acting]"),
+], ids=["unknown-kind", "one-factor", "one-part"])
+def test_catalog_errors_name_line_and_entry(tmp_path, capsys, entry,
+                                            message):
+    """An unknown kind and a wrong number of referenced entries are
+    worded like every other catalog error: one line naming the catalog
+    line, and the entry where there is one."""
+    f = tmp_path / "bad.jsonl"
+    f.write_text(entry + '\n{"kind": "cyclic", "name": "C2", "order": 2}\n')
+    assert main(["analyze", "X", "--prime", "2", "--catalog", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unresolved_and_cyclic_references(tmp_path):
@@ -443,7 +463,10 @@ def test_every_option_explained(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    for option in ("--catalog FILE", "--cap N", "--json"):
+    options = ["--catalog FILE", "--cap N", "--json"]
+    if command != "selftest":
+        options.append("--prime PRIME")
+    for option in options:
         assert f"{option} " in text and f"{option} --" not in text, option
     assert f"(default {DEFAULT_ORACLE_CAP})" in text
 
