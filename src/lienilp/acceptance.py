@@ -22,7 +22,7 @@ import numpy as np
 from .catalog import Catalog
 from .classify import corollary_sharpness
 from .dimension import quotient_series_check, series_recursive
-from .errors import NoWitnessFoundError, UnresolvedReferenceError
+from .errors import UnresolvedReferenceError
 from .groups import FiniteGroup, from_multiplication_table
 from .oracle import DEFAULT_ORACLE_CAP
 from .report import LieReport, analyze
@@ -168,10 +168,9 @@ def _sharpness(catalog, reports, oracle_cap):
     details = []
     for p, expected_name, expected_t in ((2, "C2wrC4", 8),
                                          (3, "C3wrC3", 8)):
-        try:
-            witnesses = corollary_sharpness(
-                p, _lie_nilpotent(reports, primes=(p,)))
-        except NoWitnessFoundError:
+        witnesses = corollary_sharpness(
+            p, _lie_nilpotent(reports, primes=(p,)))
+        if not witnesses:
             return "fail", f"no sharpness witness for p = {p}"
         names = {w.name: w for w in witnesses}
         if expected_name not in names:

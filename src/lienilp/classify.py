@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .dimension import DVector
-from .errors import NoWitnessFoundError
 from .groups import AbelianType
 
 if TYPE_CHECKING:
@@ -122,16 +121,12 @@ def corollary_sharpness(p: int, reports: Sequence[LieReport]
                         ) -> list[SharpnessWitness]:
     """Exhibit analysed groups attaining the second-highest index value
     (2^n for p = 2, 3^n - 1 for p = 3), showing the bound for p >= 5
-    does not extend down to p = 2, 3.  Reports at another prime are
-    ignored."""
+    does not extend down to p = 2, 3; the list is empty when none does.
+    Reports at another prime are ignored."""
     if p not in (2, 3):
         raise ValueError("sharpness targets exist only for p = 2 and p = 3")
-    found = [SharpnessWitness(name=r.name, n=r.n,
-                              t_upper=r.t_upper_jennings,
-                              small_p_bound=p ** (r.n - 1) + 2 * p - 1)
-             for r in reports
-             if r.prime == p and r.verdict.startswith("almost_maximal")]
-    if not found:
-        raise NoWitnessFoundError(
-            f"no almost-maximal witness among the reports for p = {p}")
-    return found
+    return [SharpnessWitness(name=r.name, n=r.n,
+                             t_upper=r.t_upper_jennings,
+                             small_p_bound=p ** (r.n - 1) + 2 * p - 1)
+            for r in reports
+            if r.prime == p and r.verdict.startswith("almost_maximal")]

@@ -14,11 +14,12 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .acceptance import run_all
 from .catalog import Catalog
 from .classify import corollary_sharpness
-from .errors import LieNilpError, NoWitnessFoundError
+from .errors import LieNilpError
 from .groups import ORACLE_ORDER_LIMIT, is_prime
 from .oracle import DEFAULT_ORACLE_CAP
 from .report import LieReport, analyze, render_text
@@ -87,84 +88,79 @@ def _dump_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _analyze_entries(args, catalog: Catalog, names: list[str],
+                     max_order: int | None = None) -> list[LieReport]:
+    """Build the named entries, so that a build error reaches ``main``
+    before any analysis runs, then analyse at ``--prime`` those of
+    order up to ``max_order`` (all when None).  An analysis error is
+    re-raised with its message prefixed by the entry's name."""
+    built = [(name, catalog.build(name)) for name in names]
+    reports = []
+    for name, g in built:
+        if max_order is None or g.order <= max_order:
+            try:
+                reports.append(analyze(g, args.prime, name=name,
+                                       run_oracle=_oracle_choice(args),
+                                       oracle_cap=args.cap))
+            except LieNilpError as exc:
+                exc.args = (f"{name}: {exc}",)
+                raise
+    return reports
+
+
+def _exit_code(reports: list[LieReport]) -> int:
+    return EXIT_CONSISTENCY if any(r.failed_checks for r in reports) \
+        else EXIT_OK
+
+
 def cmd_analyze(args, catalog: Catalog) -> int:
-    group = catalog.build(args.group)
-    try:
-        report = analyze(group, args.prime, name=args.group,
-                         run_oracle=_oracle_choice(args),
-                         oracle_cap=args.cap)
-    except LieNilpError as exc:
-        print(f"error: {args.group}: {exc}", file=sys.stderr)
-        return EXIT_BUILD
+    reports = _analyze_entries(args, catalog, [args.group])
     if args.json:
-        _dump_json(report.to_json_dict())
+        _dump_json(reports[0].to_json_dict())
     else:
-        print(render_text(report))
-    return EXIT_OK if report.all_checks_pass else EXIT_CONSISTENCY
+        print(render_text(reports[0]))
+    return _exit_code(reports)
 
 
 def _scan_summary(reports: list[LieReport], prime: int) -> dict:
     """Verdict counts, failed checks and the sharpness witnesses among
     the scanned groups."""
-    verdicts: dict[str, int] = {}
-    violations = []
-    for r in reports:
-        verdicts[r.verdict] = verdicts.get(r.verdict, 0) + 1
-        bad = sorted(k for k, v in r.checks.items() if v is False)
-        if bad:
-            violations.append({"name": r.name, "failed_checks": bad})
-    witnesses = []
-    if prime in (2, 3):
-        try:
-            witnesses = [{"name": w.name, "n": w.n, "t_upper": w.t_upper}
-                         for w in corollary_sharpness(prime, reports)]
-        except NoWitnessFoundError:
-            pass
+    verdicts = Counter(r.verdict for r in reports)
+    witnesses = corollary_sharpness(prime, reports) if prime in (2, 3) \
+        else []
     return {
         "prime": prime,
         "groups_scanned": len(reports),
-        "verdict_counts": {k: verdicts[k] for k in sorted(verdicts)},
-        "biconditional_violations": violations,
-        "sharpness_witnesses": witnesses,
+        "verdict_counts": dict(sorted(verdicts.items())),
+        "failed_checks": [{"name": r.name, "failed_checks": r.failed_checks}
+                          for r in reports if r.failed_checks],
+        "sharpness_witnesses": [{"name": w.name, "n": w.n,
+                                 "t_upper": w.t_upper} for w in witnesses],
     }
 
 
 def cmd_scan(args, catalog: Catalog) -> int:
-    selected = []
-    for entry in catalog.entries:
-        group = catalog.build(entry.name)
-        if args.max_order is None or group.order <= args.max_order:
-            selected.append((entry.name, group))
-    reports = []
-    for name, g in selected:
-        try:
-            reports.append(analyze(g, args.prime, name=name,
-                                   run_oracle=_oracle_choice(args),
-                                   oracle_cap=args.cap))
-        except LieNilpError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return EXIT_BUILD
+    reports = _analyze_entries(args, catalog,
+                               [entry.name for entry in catalog.entries],
+                               args.max_order)
     summary = _scan_summary(reports, args.prime)
     if args.json:
         _dump_json({"reports": [r.to_json_dict() for r in reports],
                     "summary": summary})
     else:
         for r in reports:
-            flags = ("ok" if r.all_checks_pass else "CHECK-FAILED")
+            flags = "CHECK-FAILED" if r.failed_checks else "ok"
             print(f"{r.name:<10} order {r.order:>6}  p={r.prime}  "
                   f"t={str(r.t_upper_jennings):>4}  {r.verdict:<18} {flags}")
         print(f"-- scanned {summary['groups_scanned']} groups at "
               f"p={args.prime}")
         print(f"-- verdicts: {summary['verdict_counts']}")
-        print(f"-- biconditional violations: "
-              f"{len(summary['biconditional_violations'])}")
+        print(f"-- failed checks: {len(summary['failed_checks'])}")
         if summary["sharpness_witnesses"]:
             names = ", ".join(f"{w['name']} (t={w['t_upper']})"
                               for w in summary["sharpness_witnesses"])
             print(f"-- sharpness witnesses: {names}")
-    if summary["biconditional_violations"]:
-        return EXIT_CONSISTENCY
-    return EXIT_OK
+    return _exit_code(reports)
 
 
 def cmd_selftest(args, catalog: Catalog) -> int:
@@ -201,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
     except (LieNilpError, OSError, ValueError) as exc:
-        # The catalog cannot be read or an entry cannot be built; the
-        # handlers report an analysis that fails, with the group's name.
+        # The catalog cannot be read, an entry cannot be built, or an
+        # analysis fails (its message then starts with the entry's name).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
     return code

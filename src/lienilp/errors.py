@@ -109,13 +109,6 @@ class NoConvergenceError(LieNilpError):
         super().__init__(message)
 
 
-# --- classification -----------------------------------------------------------
-
-
-class NoWitnessFoundError(LieNilpError):
-    """No catalog group attains the requested sharp index value."""
-
-
 # --- catalog / CLI -------------------------------------------------------------
 
 

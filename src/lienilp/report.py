@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import classify, cross_validate, lemma2_profile, \
     theorem1_structural_case
@@ -38,14 +38,17 @@ class OracleResult:
     ran: bool
     t_upper: int | None = None
     t_lower: int | None = None
-    upper_dims: list[int] = field(default_factory=list)
-    lower_dims: list[int] = field(default_factory=list)
-    direct_series_orders: list[int] = field(default_factory=list)
+    upper_dims: list[int] | None = None
+    lower_dims: list[int] | None = None
 
 
 @dataclass
 class LieReport:
-    """Everything the analysis pipeline derives for one (group, prime)."""
+    """Everything the analysis pipeline derives for one (group, prime),
+    field for field in the order of its JSON form.  ``series_orders``
+    holds the orders by the ``recursive``, ``product`` and ``direct``
+    routes, None where a route did not run; ``checks`` is sorted by
+    name."""
 
     name: str
     order: int
@@ -53,8 +56,7 @@ class LieReport:
     lie_nilpotent: bool
     nilpotency_class: int | None
     gamma_series: list[dict]
-    series_orders_recursive: list[int] | None
-    series_orders_product: list[int] | None
+    series_orders: dict[str, list[int] | None]
     d_vector: dict[int, int] | None
     n: int | None
     l: int | None
@@ -67,42 +69,18 @@ class LieReport:
     timing_ms: float
 
     @property
-    def all_checks_pass(self) -> bool:
-        return all(v is not False for v in self.checks.values())
+    def failed_checks(self) -> list[str]:
+        """The names of the checks that ran and failed."""
+        return [k for k, v in self.checks.items() if v is False]
 
     def to_json_dict(self) -> dict:
-        """Stable field order; timing is excluded so identical inputs
-        serialise byte-identically."""
-        return {
-            "name": self.name,
-            "order": self.order,
-            "prime": self.prime,
-            "lie_nilpotent": self.lie_nilpotent,
-            "nilpotency_class": self.nilpotency_class,
-            "gamma_series": self.gamma_series,
-            "series_orders": {
-                "recursive": self.series_orders_recursive,
-                "product": self.series_orders_product,
-                "direct": (self.oracle.direct_series_orders
-                           if self.oracle.ran else None),
-            },
-            "d_vector": ({str(k): v for k, v in sorted(self.d_vector.items())}
-                         if self.d_vector is not None else None),
-            "n": self.n,
-            "l": self.l,
-            "t_upper_jennings": self.t_upper_jennings,
-            "oracle": {
-                "ran": self.oracle.ran,
-                "t_upper": self.oracle.t_upper,
-                "t_lower": self.oracle.t_lower,
-                "upper_dims": self.oracle.upper_dims or None,
-                "lower_dims": self.oracle.lower_dims or None,
-            },
-            "verdict": self.verdict,
-            "structural_case": self.structural_case,
-            "profile_case": self.profile_case,
-            "checks": {k: self.checks[k] for k in sorted(self.checks)},
-        }
+        """The fields, shallow-copied; timing is excluded so identical
+        inputs serialise byte-identically."""
+        out = dict(vars(self), oracle=dict(vars(self.oracle)))
+        del out["timing_ms"]
+        out["d_vector"] = self.d_vector and {
+            str(k): v for k, v in sorted(self.d_vector.items())}
+        return out
 
 
 def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
@@ -132,14 +110,16 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     ln = is_lie_nilpotent(g, prime)
 
     checks: dict[str, bool | None] = {}
-    series_rec = series_prod = dvec = None
-    t_jennings = None
+    orders = dict.fromkeys(("recursive", "product", "direct"))
+    dvec = t_jennings = None
     n = l = None
     structural = profile = None
     if ln:
         series_rec = series_recursive(g, prime)
         series_prod = series_product(g, prime)
         checks["routes_agree"] = series_rec.terms == series_prod.terms
+        orders["recursive"] = list(series_rec.orders())
+        orders["product"] = list(series_prod.orders())
         dvec = d_vector(series_rec)
         n, l = dvec.n, dvec.l
         t_jennings = upper_index_jennings(dvec)
@@ -155,25 +135,21 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     oracle = OracleResult(ran=False)
     if run_oracle is None:
         run_oracle = g.order <= oracle_cap
-    if run_oracle:
-        if ln:
-            algebra = GroupAlgebra(g, prime)
-            upper_dims, t_up = upper_lie_powers(algebra)
-            lower_dims, t_low = lower_lie_powers(algebra)
-            direct = dimension_series_direct(algebra)
-            oracle = OracleResult(ran=True, t_upper=t_up, t_lower=t_low,
-                                  upper_dims=upper_dims,
-                                  lower_dims=lower_dims,
-                                  direct_series_orders=[s.order
-                                                        for s in direct])
-            checks["oracle_upper_matches_jennings"] = t_up == t_jennings
-            checks["direct_series_agrees"] = \
-                tuple(direct) == series_rec.terms
-            derived_order = series_rec.terms[1].order \
-                if len(series_rec.terms) > 1 else 1
-            checks["bounds"] = t_low <= t_up <= derived_order + 1
-            if prime > 3:
-                checks["char_gt3_equality"] = t_low == t_up
+    if ln and run_oracle:
+        algebra = GroupAlgebra(g, prime)
+        upper_dims, t_up = upper_lie_powers(algebra)
+        lower_dims, t_low = lower_lie_powers(algebra)
+        direct = dimension_series_direct(algebra)
+        oracle = OracleResult(ran=True, t_upper=t_up, t_lower=t_low,
+                              upper_dims=upper_dims, lower_dims=lower_dims)
+        orders["direct"] = [s.order for s in direct]
+        checks["oracle_upper_matches_jennings"] = t_up == t_jennings
+        checks["direct_series_agrees"] = tuple(direct) == series_rec.terms
+        derived_order = series_rec.terms[1].order \
+            if len(series_rec.terms) > 1 else 1
+        checks["bounds"] = t_low <= t_up <= derived_order + 1
+        if prime > 3:
+            checks["char_gt3_equality"] = t_low == t_up
     elif ln:
         checks["oracle_upper_matches_jennings"] = None
         checks["direct_series_agrees"] = None
@@ -184,10 +160,7 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         name=name, order=g.order, prime=prime,
         lie_nilpotent=ln, nilpotency_class=cls_,
         gamma_series=gamma,
-        series_orders_recursive=(list(series_rec.orders())
-                                 if series_rec else None),
-        series_orders_product=(list(series_prod.orders())
-                               if series_prod else None),
+        series_orders=orders,
         d_vector=dict(dvec.entries) if dvec else None,
         n=n, l=l,
         t_upper_jennings=t_jennings,
@@ -195,7 +168,7 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         verdict=verdict,
         structural_case=structural,
         profile_case=profile,
-        checks=checks,
+        checks=dict(sorted(checks.items())),
         timing_ms=elapsed,
     )
 
@@ -211,8 +184,8 @@ def render_text(report: LieReport) -> str:
         for e in report.gamma_series)
     lines.append(f"  gamma orders  : {gammas}")
     if report.lie_nilpotent:
-        lines.append(f"  series orders : {report.series_orders_recursive} "
-                     f"(product route: {report.series_orders_product})")
+        lines.append(f"  series orders : {report.series_orders['recursive']}"
+                     f" (product route: {report.series_orders['product']})")
         lines.append(f"  d-vector      : {report.d_vector}  n={report.n} "
                      f"l={report.l}")
         lines.append(f"  t upper (formula): {report.t_upper_jennings}")
@@ -222,7 +195,7 @@ def render_text(report: LieReport) -> str:
     lines.append(f"  verdict       : {report.verdict}")
     flags = ", ".join(
         f"{k}={'pass' if v else 'FAIL' if v is False else 'skipped'}"
-        for k, v in sorted(report.checks.items()))
+        for k, v in report.checks.items())
     lines.append(f"  checks        : {flags or 'none'}")
     lines.append(f"  timing        : {report.timing_ms:.1f} ms")
     return "\n".join(lines)

@@ -1,5 +1,6 @@
 """Catalog parsing/building and the command line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from lienilp.errors import (
 )
 from lienilp.groups import full_subgroup, is_abelian_subgroup
 from lienilp.oracle import DEFAULT_ORACLE_CAP
+from lienilp.report import analyze
 
 REQUIRED_ENTRIES = {"C2", "C4", "C2xC2", "D8", "Q8", "C4xC2", "D8xD8",
                     "C2wrC4", "H27", "C3wrC3", "H125", "S3"}
@@ -378,11 +380,30 @@ def test_scan_p2(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     summary = payload["summary"]
-    assert summary["biconditional_violations"] == []
+    assert summary["failed_checks"] == []
     assert summary["verdict_counts"]["almost_maximal.i"] == 1
     assert summary["verdict_counts"]["almost_maximal.iii"] == 1
     names = {w["name"] for w in summary["sharpness_witnesses"]}
     assert "C2wrC4" in names
+
+
+def test_failed_check_exits_3(monkeypatch, capsys):
+    """A report with one check False makes analyze and scan exit 3;
+    scan marks the group CHECK-FAILED and lists the check in its
+    summary."""
+    def failing(*args, **kwargs):
+        rep = analyze(*args, **kwargs)
+        return dataclasses.replace(rep, checks={**rep.checks,
+                                                "sum_rule": False})
+    monkeypatch.setattr("lienilp.cli.analyze", failing)
+    assert main(["analyze", "D8", "--prime", "2"]) == 3
+    capsys.readouterr()
+    argv = ["scan", "--prime", "2", "--max-order", "8", "--no-oracle"]
+    assert main(argv) == 3
+    assert "CHECK-FAILED" in capsys.readouterr().out
+    assert main(argv + ["--json"]) == 3
+    failed = json.loads(capsys.readouterr().out)["summary"]["failed_checks"]
+    assert {"name": "D8", "failed_checks": ["sum_rule"]} in failed
 
 
 def test_scan_p3(capsys):

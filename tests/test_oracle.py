@@ -373,11 +373,12 @@ def test_oracle_reads_no_lower_central_series(monkeypatch, built,
         if name.split(".")[0] == "lienilp" and \
                 hasattr(mod, "lower_central_series"):
             monkeypatch.setattr(mod, "lower_central_series", refuse)
-    oracle = catalog_reports["D8wrC2", 2].oracle
+    rep = catalog_reports["D8wrC2", 2]
+    oracle = rep.oracle
     assert chains(GroupAlgebra(built("D8wrC2"), 2)) == (
         (oracle.upper_dims, oracle.t_upper),
         (oracle.lower_dims, oracle.t_lower),
-        oracle.direct_series_orders)
+        rep.series_orders["direct"])
 
 
 def test_oracle_cap(built):
@@ -430,11 +431,11 @@ def test_chains_match_all_elements_reference(catalog):
         for p in (2, 3, 5):
             if not is_lie_nilpotent(g, p):
                 continue
-            oracle = analyze(g, p, run_oracle=True).oracle
+            rep = analyze(g, p, run_oracle=True)
             upper, lower, direct, spans = brute_lie_chains(g, p)
-            assert oracle.upper_dims == upper, f"{entry.name}@p{p}"
-            assert oracle.lower_dims == lower, f"{entry.name}@p{p}"
-            assert oracle.direct_series_orders == direct, \
+            assert rep.oracle.upper_dims == upper, f"{entry.name}@p{p}"
+            assert rep.oracle.lower_dims == lower, f"{entry.name}@p{p}"
+            assert rep.series_orders["direct"] == direct, \
                 f"{entry.name}@p{p}"
             assert [s.dim for s in _lower_spans(GroupAlgebra(g, p))] == \
                 spans, f"{entry.name}@p{p}"
