@@ -47,11 +47,11 @@ def _add_analysis(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, "run the explicit group-algebra oracle only for "
                      "orders up to N")
     mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--oracle", action="store_true",
-                      help="force the oracle regardless of the cap, "
-                           f"up to order {ORACLE_ORDER_LIMIT}")
-    mode.add_argument("--no-oracle", action="store_true",
-                      help="never run the oracle")
+    mode.add_argument("--oracle", dest="run_oracle", action="store_const",
+                      const=True, help="force the oracle regardless of the "
+                                       f"cap, up to order {ORACLE_ORDER_LIMIT}")
+    mode.add_argument("--no-oracle", dest="run_oracle", action="store_const",
+                      const=False, help="never run the oracle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,14 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_choice(args) -> bool | None:
-    if args.oracle:
-        return True
-    if args.no_oracle:
-        return False
-    return None
-
-
 def _dump_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -100,7 +92,7 @@ def _analyze_entries(args, catalog: Catalog, names: list[str],
         if max_order is None or g.order <= max_order:
             try:
                 reports.append(analyze(g, args.prime, name=name,
-                                       run_oracle=_oracle_choice(args),
+                                       run_oracle=args.run_oracle,
                                        oracle_cap=args.cap))
             except LieNilpError as exc:
                 exc.args = (f"{name}: {exc}",)
@@ -134,8 +126,7 @@ def _scan_summary(reports: list[LieReport], prime: int) -> dict:
         "verdict_counts": dict(sorted(verdicts.items())),
         "failed_checks": [{"name": r.name, "failed_checks": r.failed_checks}
                           for r in reports if r.failed_checks],
-        "sharpness_witnesses": [{"name": w.name, "n": w.n,
-                                 "t_upper": w.t_upper} for w in witnesses],
+        "sharpness_witnesses": [vars(w) for w in witnesses],
     }
 
 
@@ -157,7 +148,8 @@ def cmd_scan(args, catalog: Catalog) -> int:
         print(f"-- verdicts: {summary['verdict_counts']}")
         print(f"-- failed checks: {len(summary['failed_checks'])}")
         if summary["sharpness_witnesses"]:
-            names = ", ".join(f"{w['name']} (t={w['t_upper']})"
+            names = ", ".join(f"{w['name']} (t={w['t_upper']}, p>=5 bound "
+                              f"{w['small_p_bound']})"
                               for w in summary["sharpness_witnesses"])
             print(f"-- sharpness witnesses: {names}")
     return _exit_code(reports)

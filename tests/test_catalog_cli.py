@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -376,15 +377,23 @@ def test_analyze_cap_skips_oracle(capsys):
 
 
 def test_scan_p2(capsys):
-    rc = main(["scan", "--prime", "2", "--max-order", "64", "--json"])
+    """Both witnesses at p = 2 reach 2^n; C2wrC4 also passes the p >= 5
+    bound p^(n-1) + 2p - 1, D8xD8 falls short of it.  The text scan
+    prints each bound."""
+    argv = ["scan", "--prime", "2", "--max-order", "64"]
+    rc = main(argv + ["--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     summary = payload["summary"]
     assert summary["failed_checks"] == []
     assert summary["verdict_counts"]["almost_maximal.i"] == 1
     assert summary["verdict_counts"]["almost_maximal.iii"] == 1
-    names = {w["name"] for w in summary["sharpness_witnesses"]}
-    assert "C2wrC4" in names
+    assert summary["sharpness_witnesses"] == [
+        {"name": "D8xD8", "n": 2, "t_upper": 4, "small_p_bound": 5},
+        {"name": "C2wrC4", "n": 3, "t_upper": 8, "small_p_bound": 7}]
+    assert main(argv + ["--no-oracle"]) == 0
+    assert "-- sharpness witnesses: D8xD8 (t=4, p>=5 bound 5), C2wrC4 " \
+        "(t=8, p>=5 bound 7)\n" in capsys.readouterr().out
 
 
 def test_failed_check_exits_3(monkeypatch, capsys):
@@ -410,8 +419,30 @@ def test_scan_p3(capsys):
     rc = main(["scan", "--prime", "3", "--max-order", "81", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    names = {w["name"] for w in payload["summary"]["sharpness_witnesses"]}
-    assert "C3wrC3" in names
+    assert payload["summary"]["sharpness_witnesses"] == [
+        {"name": "C3wrC3", "n": 2, "t_upper": 8, "small_p_bound": 8}]
+
+
+def test_scan_formula_route_at_scale(capsys):
+    """The formula route on the order-2048 C2wrC8 (permutation backing)
+    and the order-65536 C2wrC8 x C8 x C4 (product backing), both far
+    above the oracle's limit: the same jump exponents, t = 30, and the
+    two series routes agree."""
+    path = Path(__file__).parent / "data" / "scale.jsonl"
+    rc = main(["scan", "--prime", "2", "--no-oracle", "--json",
+               "--catalog", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    big = {r["name"]: r for r in payload["reports"]
+           if r["name"].startswith("C2wrC8")}
+    assert {name: r["order"] for name, r in big.items()} == \
+        {"C2wrC8": 2048, "C2wrC8xC8xC4": 65536}
+    for r in big.values():
+        assert r["d_vector"] == {str(k): 1 for k in range(2, 9)}
+        assert r["t_upper_jennings"] == 30
+        assert r["series_orders"]["recursive"] == \
+            [r["order"], 128, 64, 32, 16, 8, 4, 2, 1]
+        assert r["checks"]["routes_agree"] is True
 
 
 def test_scan_p5_no_oracle_text(capsys):
