@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 standard output closed before everything was
 written (as by ``| head``; no traceback), 2 build/usage error (including
-a --prime that is not a prime, and a group the analysis cannot handle,
-such as --oracle on a group of order above 1024, whatever its backing),
+a --prime that is not a prime, a negative --cap, and a group the
+analysis cannot handle, such as --oracle on a group of order above 1024,
+whatever its backing),
 3 internal consistency failure (a cross-check mismatch or a failed
 acceptance criterion).
 """
@@ -177,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "selftest" and not is_prime(args.prime):
         print(f"error: --prime must be a prime >= 2, got {args.prime}",
               file=sys.stderr)
+        return EXIT_BUILD
+    if args.cap < 0:
+        print(f"error: --cap must be >= 0, got {args.cap}", file=sys.stderr)
         return EXIT_BUILD
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "selftest": cmd_selftest}[args.command]

@@ -508,6 +508,21 @@ def test_library_analyze_rejects_non_prime(built, prime):
         analyze(built("D8"), prime)
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["analyze", "D8", "--prime", "2"], "-1"),
+    (["scan", "--prime", "2"], "-1"),
+    (["selftest"], "-5")])
+def test_negative_cap_rejected(capsys, argv, cap):
+    """A negative --cap is a usage error with one error line, not a
+    silent "no oracle"; --cap 0 stays valid."""
+    assert main(argv + ["--cap", cap]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --cap must be >= 0, got {cap}\n")
+    if argv[0] == "analyze":
+        assert main(argv + ["--cap", "0", "--json"]) == 0
+        assert not json.loads(capsys.readouterr().out)["oracle"]["ran"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "scan", "selftest"])
 def test_every_option_explained(capsys, command):
     """Each command's --help explains every option and prints the

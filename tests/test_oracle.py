@@ -152,12 +152,25 @@ def _random_rows(p, count, width, seed):
 
 
 def _block(kind, rows, width, p, rng):
-    """A seeded candidate block of one of five shapes, entries in [0, p),
+    """A seeded candidate block of one of seven shapes, entries in [0, p),
     in Python ints at the large primes."""
     dtype = object if p in LARGE_PRIMES else np.int64
     draw = lambda *shape: rng.integers(0, p, shape).astype(dtype)
     if kind == "random":
         return draw(rows, width)
+    if kind in ("unit_leads", "mixed_leads"):
+        # Sparse rows, so that the rows picked in one round are often
+        # already reduced on some of each other's pivot columns; every
+        # lead scaled to 1, resp. about half of them.
+        block = draw(rows, width) * (rng.random((rows, width)) < 0.1
+                                     ).astype(dtype)
+        block[np.arange(rows), rng.integers(0, width, rows)] = 1
+        lead = block[np.arange(rows), (block != 0).argmax(axis=1)]
+        scale = [pow(int(x), p - 2, p) for x in lead]
+        if kind == "mixed_leads":
+            scale = [s if half else 1
+                     for s, half in zip(scale, rng.random(rows) < 0.5)]
+        return block * np.array(scale, dtype=dtype)[:, None] % p
     if kind == "extreme":       # the largest products: entries p-1, p-2
         return rng.integers(0, 2, (rows, width)).astype(dtype) + (p - 2)
     if kind == "rank_deficient":
@@ -185,12 +198,16 @@ ECHELON_CHUNKS = {181: 64}
 
 @pytest.mark.parametrize("p", list(ECHELON_WIDTHS))
 @pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicates",
-                                  "shared_lead", "extreme"])
+                                  "shared_lead", "extreme", "unit_leads",
+                                  "mixed_leads"])
 def test_absorb_matches_reference_echelon(monkeypatch, p, kind):
     """The chunked, round-wise elimination gives the subspace of the
     one-pivot-at-a-time reference, on blocks shorter than, as long as
     and longer than a chunk, and absorbing in several calls gives the
-    same subspace as absorbing in one."""
+    same subspace as absorbing in one.  The unit_leads and mixed_leads
+    blocks reach rounds that skip the scaling and rounds that skip the
+    inverse of I - M, next to rounds where only some leads are 1 or only
+    some rows of M are 0."""
     chunk = ECHELON_CHUNKS.get(p, _CHUNK_ROWS)
     monkeypatch.setattr("lienilp.oracle._CHUNK_ROWS", chunk)
     rng = np.random.default_rng([p % 1000, len(kind)])
@@ -205,6 +222,30 @@ def test_absorb_matches_reference_echelon(monkeypatch, p, kind):
         for piece in np.array_split(block, [1, 40, 41, 100]):
             parts.absorb(piece)
         assert parts == space, (rows, kind)
+
+
+@pytest.mark.parametrize("p", [2, 5, LARGE_PRIMES[1]])
+def test_absorb_returns_what_is_new(monkeypatch, p):
+    """Absorbing a block of three chunks into a non-empty space returns
+    as many rows as the dimension grew, independent modulo the old basis
+    and spanning the new space with it."""
+    monkeypatch.setattr("lienilp.oracle._CHUNK_ROWS", 8)
+    rng = np.random.default_rng(p % 1000)
+    space = FpSubspace.from_vectors(_block("random", 5, 30, p, rng), p)
+    old = space.copy()
+    # Chunk k brings 6, 4 and 2 new directions; its other rows combine
+    # the old basis and every row before them.
+    rows = old.basis.astype(object if p in LARGE_PRIMES else np.int64)
+    for new in (6, 4, 2):
+        fresh = _block("random", new, 30, p, rng)
+        known = np.vstack([rows, fresh])
+        mix = _block("random", 8 - new, len(known), p, rng) @ known % p
+        rows = np.vstack([rows, np.vstack([fresh, mix])[rng.permutation(8)]])
+    returned = space.absorb(rows[old.dim:])
+    assert returned.shape[0] == space.dim - old.dim == 12
+    assert FpSubspace.from_vectors(old.reduce(returned), p).dim == 12
+    assert FpSubspace.from_vectors(np.vstack([old.basis, returned]),
+                                   p) == space
 
 
 @pytest.mark.parametrize("p, width, work", [
