@@ -302,5 +302,7 @@ def run_criterion(criterion, catalog: Catalog, reports: dict,
 
 def run_all(catalog: Catalog, *,
             oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[CriterionResult]:
+    if oracle_cap < 0:
+        raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
     reports = analyze_catalog(catalog, oracle_cap)
     return [run_criterion(c, catalog, reports, oracle_cap) for c in CRITERIA]

@@ -111,16 +111,6 @@ class FiniteGroup:
             return "table"
         return "product" if self._factors is not None else "permutation"
 
-    def multiply(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        if self._factors is not None:
-            a, b = self._factors
-            ia, ib = divmod(i, b.order)
-            ja, jb = divmod(j, b.order)
-            return a.multiply(ia, ja) * b.order + b.multiply(ib, jb)
-        return self._perm_index[self._perms[i].take(self._perms[j]).tobytes()]
-
     def products(self, i, j) -> np.ndarray:
         """The products i[k] * j[k] of index arrays broadcast together;
         permutation rows are looked up 4096 at a time, as in the closure."""
@@ -143,16 +133,12 @@ class FiniteGroup:
     def _lookup(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Element numbers of the permutation products i * j, flattened."""
         perms, degree = self._perms, self._perms.shape[1]
-        # Row k is x -> i(j(x)), as in multiply: one gather from the
-        # flat rows.
+        # Row k is x -> i(j(x)): one gather from the flat rows.
         rows = perms.ravel().take(perms[j] + (i * degree)[..., None])
         width = np.dtype((np.void, rows.itemsize * degree))
         keys = rows.view(width).ravel().tolist()
         return np.fromiter(map(self._perm_index.__getitem__, keys),
                            np.int64, len(keys))
-
-    def inverse(self, i: int) -> int:
-        return int(self._inverses[i])
 
     def dense_table(self) -> np.ndarray:
         if self._table is None:
@@ -212,10 +198,6 @@ class Subgroup:
     @property
     def is_trivial(self) -> bool:
         return self.members.size == 1
-
-    def __contains__(self, x: int) -> bool:
-        i = self.members.searchsorted(x)
-        return bool(i < self.members.size and self.members[i] == x)
 
     def member_orders(self) -> tuple[int, ...]:
         """The order of every member, computed on first use and kept."""

@@ -45,8 +45,9 @@ the brackets of the last term's basis with a list of group elements
 non-central class for the lower), gathered for as many elements at a
 time as fill about one chunk of rows, and closed under left and right
 multiplication, resp. conjugation, by the generators.
-Terms are nested, so within |G| + 1 terms a chain reaches 0 or repeats
-a dimension and stops; a repeat above 0 raises NoConvergenceError.
+Terms are nested, so a chain stops at the first term that is 0 or no
+smaller than the one before, within |G| + 1 terms; a stop above 0 raises
+NoConvergenceError (a term that grows can only be a defect).
 Nothing here reads dimension subgroups, a lower central series or a
 step count, so the oracle borrows nothing from the formulas it checks,
 nor the bound t <= |G'| + 1 it tests.
@@ -308,11 +309,11 @@ class GroupAlgebra:
     def _lie_powers(self, elements, perms):
         """A Lie power chain: KG, then each term the brackets of the last
         one's basis with every listed element, closed under perms, until
-        a term is 0 or repeats the dimension before it.  Brackets are
+        a term is 0 or no smaller than the one before it.  Brackets are
         gathered for as many elements at a time as fill about one chunk."""
-        term, before = self.full_space(), None
+        term, before = self.full_space(), self.n + 1
         yield term
-        while term.dim and term.dim != before:
+        while 0 < term.dim < before:
             nxt = FpSubspace(self.p, self.n)
             cols, step = term.basis.T.copy(), max(1, _CHUNK_ROWS // term.dim)
             for start in range(0, len(elements), step):

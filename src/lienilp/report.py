@@ -95,10 +95,12 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
     explicit group-algebra oracle runs when the order fits under the
     cap (or when forced).  Every cross-check lands in ``checks``, with
     None marking checks that could not run.  Raises NotPrimeError
-    unless ``prime`` is a prime >= 2.
+    unless ``prime`` is a prime >= 2, and ValueError on a negative cap.
     """
     if not is_prime(prime):
         raise NotPrimeError(f"p must be a prime >= 2, got {prime}")
+    if oracle_cap < 0:
+        raise ValueError(f"oracle_cap must be >= 0, got {oracle_cap}")
     start = time.perf_counter()
     series = lower_central_series(g)
     types = [abelian_invariants(t) if is_abelian_subgroup(t) else None

@@ -4,9 +4,11 @@ The oracles here deliberately avoid the package's own algorithms:
 closures iterate all pairwise products to a fixed point, and commutator
 subgroups enumerate every commutator pair, so they stay independent of
 the generator-based implementations they check; element orders step one
-scalar product at a time.  The permutation
-closure multiplies one element by one generator at a time in pure
-Python.  The group-algebra reference multiplies by the convolution
+product at a time.  Each reference multiplies one pair at a time, read
+from the dense table where the group has one and otherwise from one
+``products`` call per pair, and inverts through ``_inverses``.  The
+permutation closure multiplies one element by one generator at a time
+in pure Python.  The group-algebra reference multiplies by the convolution
 definition in Python integers (exact at every p), closes ideals under
 every delta_g and brackets against every delta_g, with its own row
 reduction.  The reference echelon takes one pivot at a time, exactly,
@@ -24,12 +26,22 @@ from lienilp.groups import FiniteGroup
 from lienilp.oracle import DEFAULT_ORACLE_CAP, FpSubspace
 
 
+def scalar_product(g: FiniteGroup):
+    """x, y -> xy for one pair of element indices: a dense-table entry,
+    or one ``products`` call where the group has no table."""
+    if g.backing == "table":
+        table = g.dense_table()
+        return lambda x, y: int(table[x, y])
+    return lambda x, y: int(g.products(x, y))
+
+
 def brute_closure(g: FiniteGroup, seed) -> frozenset[int]:
     """Fixed point of taking all pairwise products, starting from the
     seed plus the identity."""
+    mul = scalar_product(g)
     current = frozenset(seed) | {0}
     while True:
-        nxt = current | {g.multiply(x, y) for x in current for y in current}
+        nxt = current | {mul(x, y) for x in current for y in current}
         if nxt == current:
             return current
         current = nxt
@@ -37,17 +49,18 @@ def brute_closure(g: FiniteGroup, seed) -> frozenset[int]:
 
 def element_order(g: FiniteGroup, x: int) -> int:
     """Order of x by scalar products, one power at a time."""
+    mul = scalar_product(g)
     k, cur = 1, x
     while cur != 0:
-        cur = g.multiply(cur, x)
+        cur = mul(cur, x)
         k += 1
     return k
 
 
 def brute_commutator_subgroup(g: FiniteGroup, h_members) -> frozenset[int]:
     """Closure of every commutator (x, y) with x in h, y anywhere."""
-    inv = g.inverse
-    comms = {g.multiply(g.multiply(inv(x), inv(y)), g.multiply(x, y))
+    mul, inv = scalar_product(g), g._inverses.tolist()
+    comms = {mul(mul(inv[x], inv[y]), mul(x, y))
              for x in h_members for y in range(g.order)}
     return brute_closure(g, comms)
 
@@ -131,12 +144,13 @@ def brute_delta(g: FiniteGroup, h: int) -> np.ndarray:
 def brute_multiply(g: FiniteGroup, p: int, x, y) -> np.ndarray:
     """Convolution product in GF(p)G, (xy)_k = sum over uv = k of
     x_u y_v, over every pair of nonzero coefficients."""
+    mul = scalar_product(g)
     out = [0] * g.order
     xs = [(u, int(c) % p) for u, c in enumerate(x) if int(c) % p]
     ys = [(v, int(c) % p) for v, c in enumerate(y) if int(c) % p]
     for u, a in xs:
         for v, b in ys:
-            k = g.multiply(u, v)
+            k = mul(u, v)
             out[k] = (out[k] + a * b) % p
     return np.array(out)
 
@@ -200,11 +214,9 @@ def reference_echelon(rows, p: int, width: int) -> FpSubspace:
 def _brute_perms(g: FiniteGroup) -> tuple[list, list]:
     """Coordinate permutations of x -> delta_h x and x -> x delta_h for
     every h: coordinate k of the image reads h^-1 k, resp. k h^-1."""
-    n = g.order
-    left = [[g.multiply(g.inverse(h), k) for k in range(n)]
-            for h in range(n)]
-    right = [[g.multiply(k, g.inverse(h)) for k in range(n)]
-             for h in range(n)]
+    n, mul, inv = g.order, scalar_product(g), g._inverses.tolist()
+    left = [[mul(inv[h], k) for k in range(n)] for h in range(n)]
+    right = [[mul(k, inv[h]) for k in range(n)] for h in range(n)]
     return left, right
 
 

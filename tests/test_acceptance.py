@@ -10,7 +10,9 @@ import dataclasses
 import pytest
 
 from lienilp.acceptance import CRITERIA, run_all, run_criterion
+from lienilp.catalog import Catalog
 from lienilp.oracle import DEFAULT_ORACLE_CAP
+from lienilp.report import analyze
 
 BUDGETS = {"1-golden-indices": 10.0, "2-route-equivalence": 60.0}
 
@@ -31,6 +33,16 @@ def test_criterion(catalog, catalog_reports, criterion):
     if budget is not None:
         assert result.seconds < budget, (
             f"{result.key} took {result.seconds:.1f}s, budget {budget}s")
+
+
+def test_negative_oracle_cap_rejected(built):
+    """The library refuses a negative oracle cap as the CLI does, rather
+    than reading it as "no oracle": analyze at once, and run_all before
+    any criterion runs (here on an empty catalog)."""
+    with pytest.raises(ValueError, match="^oracle_cap must be >= 0, got -1$"):
+        analyze(built("D8"), 2, oracle_cap=-1)
+    with pytest.raises(ValueError, match="^oracle_cap must be >= 0, got -5$"):
+        run_all(Catalog([]), oracle_cap=-5)
 
 
 def test_suite_is_complete():

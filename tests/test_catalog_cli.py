@@ -508,18 +508,20 @@ def test_library_analyze_rejects_non_prime(built, prime):
         analyze(built("D8"), prime)
 
 
-@pytest.mark.parametrize("argv, cap", [
-    (["analyze", "D8", "--prime", "2"], "-1"),
-    (["scan", "--prime", "2"], "-1"),
-    (["selftest"], "-5")])
-def test_negative_cap_rejected(capsys, argv, cap):
-    """A negative --cap is a usage error with one error line, not a
-    silent "no oracle"; --cap 0 stays valid."""
-    assert main(argv + ["--cap", cap]) == 2
+@pytest.mark.parametrize("argv, value", [
+    (["analyze", "D8", "--prime", "2", "--cap"], "-1"),
+    (["scan", "--prime", "2", "--cap"], "-1"),
+    (["selftest", "--cap"], "-5"),
+    (["scan", "--prime", "2", "--max-order"], "-1")])
+def test_negative_cap_rejected(capsys, argv, value):
+    """A negative --cap or --max-order (the last word of argv) is a
+    usage error with one error line, not a silent "no oracle" or an
+    empty scan; --cap 0 stays valid."""
+    assert main(argv + [value]) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: --cap must be >= 0, got {cap}\n")
+    assert (out, err) == ("", f"error: {argv[-1]} must be >= 0, got {value}\n")
     if argv[0] == "analyze":
-        assert main(argv + ["--cap", "0", "--json"]) == 0
+        assert main(argv + ["0", "--json"]) == 0
         assert not json.loads(capsys.readouterr().out)["oracle"]["ran"]
 
 

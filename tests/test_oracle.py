@@ -1,5 +1,6 @@
 """Explicit group-algebra computations over GF(p)."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -54,13 +55,14 @@ def chains(alg):
 
 def test_delta_products(built):
     d8 = built("D8")
+    table = d8.dense_table()
     x = np.array([1, 0, 1, 1, 0, 1, 0, 0])
     assert np.array_equal(brute_multiply(d8, 2, brute_delta(d8, 0), x), x)
     for g in range(8):
         for h in range(8):
             prod = brute_multiply(d8, 2, brute_delta(d8, g),
                                   brute_delta(d8, h))
-            assert np.array_equal(prod, brute_delta(d8, d8.multiply(g, h)))
+            assert np.array_equal(prod, brute_delta(d8, table[g, h]))
 
 
 def test_multiply_matches_naive(built):
@@ -420,6 +422,27 @@ def test_oracle_reads_no_lower_central_series(monkeypatch, built,
         (oracle.upper_dims, oracle.t_upper),
         (oracle.lower_dims, oracle.t_lower),
         rep.series_orders["direct"])
+
+
+def test_growing_term_ends_the_chain(built, monkeypatch):
+    """A kernel defect that grows a term ends the chain instead of
+    running away: brackets that alternate between the true ones and a
+    full span give 64, then a smaller term, then 64 again, which is no
+    smaller, so the chain stops there, within |G| + 1 terms, and reads
+    as stopping above zero."""
+    alg = GroupAlgebra(built("D8xD8"), 2)
+    real, calls = GroupAlgebra._brackets, itertools.count()
+
+    def alternate(self, cols, elements):
+        rows = real(self, cols, elements)
+        return np.eye(self.n, dtype=rows.dtype) if next(calls) % 2 else rows
+    monkeypatch.setattr(GroupAlgebra, "_brackets", alternate)
+    chain = itertools.islice(alg._lie_powers(alg._gens, alg._sides),
+                             alg.n + 2)
+    dims = [term.dim for term in chain]
+    assert len(dims) == 3 and dims[0] == dims[2] == 64 > dims[1], dims
+    with pytest.raises(NoConvergenceError, match="at dimension 64$"):
+        upper_lie_powers(alg)
 
 
 def test_oracle_cap(built):
