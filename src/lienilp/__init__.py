@@ -17,7 +17,6 @@ from .groups import (
     from_permutation_generators,
     is_p_group,
     lower_central_series,
-    nilpotency_class,
     power_subgroup,
     product_of_subgroups,
     quaternion_group8,
@@ -42,7 +41,6 @@ from .oracle import (
     FpSubspace,
     GroupAlgebra,
     dimension_series_direct,
-    dimension_subgroup_direct,
     lower_lie_powers,
     upper_lie_powers,
 )

@@ -45,10 +45,6 @@ class NotHomomorphismError(LieNilpError):
 # --- group-theoretic preconditions ------------------------------------------
 
 
-class NotNilpotentError(LieNilpError):
-    """The lower central series stabilised above the trivial subgroup."""
-
-
 class NotNormalError(LieNilpError):
     def __init__(self, element: int, conjugator: int):
         self.element = element
@@ -102,7 +98,8 @@ class NotGeneratingError(LieNilpError):
 
 
 class NoConvergenceError(LieNilpError):
-    """The Lie power chain did not reach zero within the step limit."""
+    """A Lie power chain stopped above zero: a term was no smaller than
+    the one before.  ``dims`` are the chain's dimensions up to that term."""
 
     def __init__(self, message: str, dims: list[int] | None = None):
         self.dims = dims or []

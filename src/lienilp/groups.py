@@ -35,7 +35,6 @@ from .errors import (
     NotAssociativeError,
     NotAutomorphismError,
     NotHomomorphismError,
-    NotNilpotentError,
     NotNormalError,
 )
 
@@ -750,14 +749,6 @@ def lower_central_series(g: FiniteGroup) -> tuple[Subgroup, ...]:
         series.append(nxt)
         if nxt.is_trivial:
             return tuple(series)
-
-
-def nilpotency_class(g: FiniteGroup) -> int:
-    series = lower_central_series(g)
-    if not series[-1].is_trivial:
-        raise NotNilpotentError(
-            f"lower central series stabilises at order {series[-1].order}")
-    return len(series) - 1
 
 
 def center(g: FiniteGroup) -> Subgroup:

@@ -45,9 +45,11 @@ the brackets of the last term's basis with a list of group elements
 non-central class for the lower), gathered for as many elements at a
 time as fill about one chunk of rows, and closed under left and right
 multiplication, resp. conjugation, by the generators.
-Terms are nested, so a chain stops at the first term that is 0 or no
-smaller than the one before, within |G| + 1 terms; a stop above 0 raises
-NoConvergenceError (a term that grows can only be a defect).
+Terms are nested, so each is smaller than the one before until one is
+0, within |G| + 1 terms.  That one generator alone checks it: a term no
+smaller than the one before raises NoConvergenceError with the chain's
+dimensions so far, worded as a repeat (KG is not Lie nilpotent) or a
+growth (a kernel defect).  The chain functions only read the terms.
 Nothing here reads dimension subgroups, a lower central series or a
 step count, so the oracle borrows nothing from the formulas it checks,
 nor the bound t <= |G'| + 1 it tests.
@@ -306,40 +308,43 @@ class GroupAlgebra:
         right multiplication by the generators, hence by all of G."""
         return span.copy().close(self._sides)
 
-    def _lie_powers(self, elements, perms):
-        """A Lie power chain: KG, then each term the brackets of the last
-        one's basis with every listed element, closed under perms, until
-        a term is 0 or no smaller than the one before it.  Brackets are
-        gathered for as many elements at a time as fill about one chunk."""
-        term, before = self.full_space(), self.n + 1
+    def _lie_powers(self, elements, perms, name: str):
+        """The named Lie power chain: KG, then each term the brackets of
+        the last one's basis with every listed element, closed under
+        perms, until a term is 0; one no smaller than the one before
+        raises NoConvergenceError.  Brackets are gathered for as many
+        elements at a time as fill about one chunk."""
+        term = self.full_space()
+        dims = [term.dim]
         yield term
-        while 0 < term.dim < before:
+        while term.dim:
             nxt = FpSubspace(self.p, self.n)
             cols, step = term.basis.T.copy(), max(1, _CHUNK_ROWS // term.dim)
             for start in range(0, len(elements), step):
                 nxt.absorb(self._brackets(cols, elements[start:start + step]))
-            before, term = term.dim, nxt.close(perms)
+            term = nxt.close(perms)
+            dims.append(term.dim)
+            if dims[-1] == dims[-2]:
+                raise NoConvergenceError(
+                    f"{name} Lie power chain repeats dimension {dims[-1]}: "
+                    f"KG is not Lie nilpotent", dims)
+            if dims[-1] > dims[-2]:
+                raise NoConvergenceError(
+                    f"{name} Lie power chain grows from dimension "
+                    f"{dims[-2]} to {dims[-1]}: the kernel is at fault", dims)
             yield term
 
     @cached_property
     def _upper(self) -> list[FpSubspace]:
         """The upper Lie powers: each term is the ideal generated by the
         brackets of the one before with the generators."""
-        return list(self._lie_powers(self._gens, self._sides))
+        return list(self._lie_powers(self._gens, self._sides, "upper"))
 
 
 def upper_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     """Dimension chain of the upper Lie powers and the first index where
-    the chain reaches zero, read from the algebra's kept chain.
-
-    A chain that stops above zero signals a non-Lie-nilpotent input via
-    NoConvergenceError.
-    """
+    the chain reaches zero, read from the algebra's kept chain."""
     dims = [term.dim for term in algebra._upper]
-    if dims[-1]:
-        raise NoConvergenceError(
-            f"upper Lie power chain stabilises at dimension {dims[-1]}",
-            dims)
     return dims, len(dims)
 
 
@@ -358,47 +363,31 @@ def _lower_spans(algebra: GroupAlgebra):
                           & (conj != np.arange(n)).any(axis=0))
     # x[:, conj[s]] is x conjugated by delta_s^-1; the s^-1 generate G.
     perms = [conj[s] for s in algebra._gens]
-    return algebra._lie_powers(reps, perms)
+    return algebra._lie_powers(reps, perms, "lower")
 
 
 def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     """Dimension chain of the lower Lie powers and its vanishing index.
 
     Each reported dimension is that of the ideal the lower Lie power
-    spans.  A span that stops shrinking above zero signals a
-    non-Lie-nilpotent input via NoConvergenceError.
-    """
+    spans (KG, the first, is one already)."""
     spans = _lower_spans(algebra)
-    span = next(spans)
-    dims = [span.dim]
-    for span in spans:
-        dims.append(algebra.ideal_closure(span).dim)
-    if span.dim:
-        raise NoConvergenceError(
-            f"lower Lie power chain stabilises at dimension {span.dim}",
-            dims)
+    dims = [next(spans).dim]
+    dims += [algebra.ideal_closure(span).dim for span in spans]
     return dims, len(dims)
-
-
-def dimension_subgroup_direct(algebra: GroupAlgebra, m: int) -> Subgroup:
-    """The m-th dimension subgroup straight from the definition:
-    elements g with delta_g - delta_1 in the m-th upper Lie power."""
-    if m < 1:
-        raise ValueError("series index must be positive")
-    chain = algebra._upper      # it stays at its last term for ever
-    term = chain[min(m, len(chain)) - 1]
-    deltas = np.eye(algebra.n, dtype=term.work)
-    deltas[:, 0] -= 1
-    members = np.flatnonzero(~term.reduce(deltas).any(axis=1))
-    return Subgroup(algebra.group, members)
 
 
 def dimension_series_direct(algebra: GroupAlgebra) -> list[Subgroup]:
     """All dimension subgroups from the definition, cut at the first
-    trivial term.  The upper chain must reach zero (NoConvergenceError
-    otherwise); its m-th term gives the m-th subgroup."""
-    upper_lie_powers(algebra)
-    series = [dimension_subgroup_direct(algebra, 1)]
-    while not series[-1].is_trivial:
-        series.append(dimension_subgroup_direct(algebra, len(series) + 1))
+    trivial term: the m-th holds the g with delta_g - delta_1 in the
+    m-th upper Lie power, so the last, zero, power gives the trivial one."""
+    chain = algebra._upper
+    deltas = np.eye(algebra.n, dtype=chain[0].work)
+    deltas[:, 0] -= 1
+    series = []
+    for term in chain:
+        members = np.flatnonzero(~term.reduce(deltas).any(axis=1))
+        series.append(Subgroup(algebra.group, members))
+        if series[-1].is_trivial:
+            break
     return series

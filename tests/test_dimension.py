@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lienilp.dimension import (
+    DimensionSeries,
     DVector,
     _ceil_div,
     d_vector,
@@ -107,6 +108,16 @@ def test_sum_rule(built):
     assert verify_sum_rule(DVector(prime=2, entries={}, n=0, l=0))
     corrupted = DVector(prime=2, entries={2: 2}, n=1, l=1)
     assert not verify_sum_rule(corrupted)
+
+
+def test_sum_rule_fails_on_a_cut_series(built):
+    """d_vector reads n off |D_2| and the jumps off the terms, so a series
+    cut short of the trivial term breaks the sum rule instead of raising:
+    D8 cut to (G, G') has no jumps but |G'| = 2."""
+    rec = series_recursive(built("D8"), 2)
+    d = d_vector(DimensionSeries(2, rec.terms[:2]))
+    assert (d.entries, d.n, d.l) == ({}, 1, 1)
+    assert not verify_sum_rule(d)
 
 
 def test_route_equivalence_across_catalog(catalog):

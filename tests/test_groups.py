@@ -18,7 +18,6 @@ from lienilp.errors import (
     NotAssociativeError,
     NotAutomorphismError,
     NotHomomorphismError,
-    NotNilpotentError,
     NotNormalError,
 )
 from lienilp.groups import (
@@ -40,7 +39,6 @@ from lienilp.groups import (
     is_abelian_subgroup,
     is_p_group,
     lower_central_series,
-    nilpotency_class,
     power_subgroup,
     product_of_subgroups,
     quaternion_group8,
@@ -487,7 +485,7 @@ def test_semidirect_inversion_is_dihedral():
     c4, c2 = cyclic_group(4), cyclic_group(2)
     sd = semidirect_product(c4, c2, [[0, 1, 2, 3], [0, 3, 2, 1]])
     assert sd.order == 8
-    assert nilpotency_class(sd) == 2
+    assert [s.order for s in lower_central_series(sd)] == [8, 2, 1]
     assert sorted(element_order(sd, x) for x in range(8)) == \
         sorted(element_order(dihedral_group(8), x) for x in range(8))
 
@@ -659,9 +657,9 @@ def test_wreath_via_generic_semidirect():
     sd = semidirect_product(base, cyclic_group(3), acts)
     w = wreath_cyclic(3, 3)
     assert sd.order == w.order == 81
-    assert nilpotency_class(sd) == nilpotency_class(w) == 3
     assert [s.order for s in lower_central_series(sd)] == \
         [s.order for s in lower_central_series(w)]
+    assert len(lower_central_series(w)) - 1 == 3
     assert sorted(element_order(sd, x) for x in range(81)) == \
         sorted(element_order(w, x) for x in range(81))
 
@@ -830,11 +828,12 @@ def test_lower_central_series_matches_brute_force(built):
 
 
 def test_nilpotency_class(built):
-    assert nilpotency_class(built("C4xC2")) == 1
-    assert nilpotency_class(built("D8")) == 2
-    assert nilpotency_class(built("C1")) == 0
-    with pytest.raises(NotNilpotentError):
-        nilpotency_class(built("S3"))
+    """The class as analyze reports it: the length of the lower central
+    series less one, and None when the series stops above 1 (S3)."""
+    from lienilp.report import analyze
+    for name, cls in (("C4xC2", 1), ("D8", 2), ("C1", 0), ("S3", None)):
+        assert analyze(built(name), 2, run_oracle=False).nilpotency_class \
+            == cls, name
 
 
 def test_center(built):

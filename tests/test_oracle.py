@@ -27,7 +27,6 @@ from lienilp.oracle import (
     _lower_spans,
     _work_dtype,
     dimension_series_direct,
-    dimension_subgroup_direct,
     lower_lie_powers,
     upper_lie_powers,
 )
@@ -395,14 +394,21 @@ def test_oracle_agrees_with_formula_index(catalog):
 
 def test_no_convergence_on_s3(built):
     """KS3 is not Lie nilpotent at any p: every chain stops at a repeated
-    dimension above zero, with no step limit to run into."""
+    dimension above zero, with no step limit to run into, and the error
+    carries the dims of the chain that stopped (the lower chain's spans,
+    not their ideals)."""
     s3 = built("S3")
     for p in (2, 3, 5):
-        for chain in (upper_lie_powers, lower_lie_powers,
-                      dimension_series_direct):
+        for chain, name, dims in (
+                (upper_lie_powers, "upper", [6, 4, 4]),
+                (lower_lie_powers, "lower", [6, 3, 3]),
+                (dimension_series_direct, "upper", [6, 4, 4])):
             with pytest.raises(NoConvergenceError) as err:
                 chain(GroupAlgebra(s3, p))
-            assert err.value.dims == [6, 4, 4], (p, chain.__name__)
+            assert err.value.dims == dims, (p, chain.__name__)
+            assert str(err.value) == (
+                f"{name} Lie power chain repeats dimension {dims[-1]}: "
+                f"KG is not Lie nilpotent"), (p, chain.__name__)
 
 
 def test_oracle_reads_no_lower_central_series(monkeypatch, built,
@@ -428,8 +434,8 @@ def test_growing_term_ends_the_chain(built, monkeypatch):
     """A kernel defect that grows a term ends the chain instead of
     running away: brackets that alternate between the true ones and a
     full span give 64, then a smaller term, then 64 again, which is no
-    smaller, so the chain stops there, within |G| + 1 terms, and reads
-    as stopping above zero."""
+    smaller, so the chain stops there, within |G| + 1 terms, and the
+    error names the growth, not a repeat."""
     alg = GroupAlgebra(built("D8xD8"), 2)
     real, calls = GroupAlgebra._brackets, itertools.count()
 
@@ -437,12 +443,12 @@ def test_growing_term_ends_the_chain(built, monkeypatch):
         rows = real(self, cols, elements)
         return np.eye(self.n, dtype=rows.dtype) if next(calls) % 2 else rows
     monkeypatch.setattr(GroupAlgebra, "_brackets", alternate)
-    chain = itertools.islice(alg._lie_powers(alg._gens, alg._sides),
-                             alg.n + 2)
-    dims = [term.dim for term in chain]
-    assert len(dims) == 3 and dims[0] == dims[2] == 64 > dims[1], dims
-    with pytest.raises(NoConvergenceError, match="at dimension 64$"):
+    with pytest.raises(NoConvergenceError) as err:
         upper_lie_powers(alg)
+    dims = err.value.dims
+    assert len(dims) == 3 and dims[0] == dims[2] == 64 > dims[1], dims
+    assert str(err.value) == (f"upper Lie power chain grows from dimension "
+                              f"{dims[1]} to 64: the kernel is at fault")
 
 
 def test_oracle_cap(built):
@@ -575,9 +581,7 @@ def test_upper_chain_shared_by_one_algebra(built):
     assert upper_lie_powers(alg) == (dims, t)
     assert alg._upper == chain
     assert len(series) <= t
-    assert dimension_subgroup_direct(alg, 2) == series[1]
-    with pytest.raises(ValueError):
-        dimension_subgroup_direct(alg, 0)
+    assert dimension_series_direct(alg) == series
 
 
 # --- dimension subgroups straight from the definition ------------------------------
@@ -586,10 +590,11 @@ def test_upper_chain_shared_by_one_algebra(built):
 def test_dimension_subgroup_direct(built):
     d8 = built("D8")
     alg = GroupAlgebra(d8, 2)
-    assert dimension_subgroup_direct(alg, 1).order == 8
-    derived = lower_central_series(d8)[1]
-    assert dimension_subgroup_direct(alg, 2) == derived
-    assert dimension_subgroup_direct(alg, 3).is_trivial
+    series = dimension_series_direct(alg)
+    assert len(series) == 3
+    assert series[0].order == 8
+    assert series[1] == lower_central_series(d8)[1]
+    assert series[2].is_trivial
 
 
 def test_direct_series_matches_formula(catalog):
