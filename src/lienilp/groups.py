@@ -683,10 +683,11 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def subgroup_generated(g: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the given elements."""
-    seeds = sorted({int(x) for x in gens} - {0})
-    mask, _ = _closure(g, seeds)
-    return Subgroup(g, np.flatnonzero(mask), seeds, closed=True)
+    """Smallest subgroup containing the given elements, generated by the
+    seeds its closure kept: each lies outside the subgroup generated by
+    the ones before it."""
+    mask, kept = _closure(g, sorted({int(x) for x in gens} - {0}))
+    return Subgroup(g, np.flatnonzero(mask), kept, closed=True)
 
 
 def _conjugates(g: FiniteGroup, x: np.ndarray) -> np.ndarray:
@@ -696,19 +697,19 @@ def _conjugates(g: FiniteGroup, x: np.ndarray) -> np.ndarray:
 
 
 def normal_closure(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of g containing the seed elements.
+    """Smallest normal subgroup of g containing the seed elements,
+    generated by the seeds its closure kept.
 
-    Each round conjugates only the generators the last round added: the
+    Each round conjugates only the generators the last round kept: the
     conjugates of the earlier ones already lie in the closure."""
-    gens = sorted({int(x) for x in seeds} - {0})
-    mask, kept = _closure(g, gens)
-    added = gens
+    mask, kept = _closure(g, sorted({int(x) for x in seeds} - {0}))
+    added = list(kept)
     while added:
         conj = _conjugates(g, np.array(added, dtype=np.intp)).ravel()
-        added = list(dict.fromkeys(conj[~mask[conj]].tolist()))
-        gens.extend(added)
-        _closure(g, added, mask, kept)
-    return Subgroup(g, np.flatnonzero(mask), gens, closed=True)
+        done = len(kept)
+        _closure(g, conj[~mask[conj]].tolist(), mask, kept)
+        added = kept[done:]
+    return Subgroup(g, np.flatnonzero(mask), kept, closed=True)
 
 
 def is_normal(h: Subgroup) -> tuple[bool, tuple[int, int] | None]:

@@ -16,8 +16,9 @@ integer, and in Python integers otherwise.  Products are reduced mod p
 only after whole dot products, the delayed reduction of FFLAS-FFPACK
 (Dumas, Giorgi and Pernet, ACM TOMS 2008).
 
-Most of the work runs over the stored generators S of G rather than all
-of G, by two identities of the algebra itself:
+Most of the work runs over the generators S of G that the closure of the
+generation check kept (any generating set serves) rather than all of G,
+by two identities of the algebra itself:
 
 * A subspace closed under left and right multiplication by every
   delta_s is closed under every delta_g, because each g is a product of
@@ -59,7 +60,7 @@ above ORACLE_ORDER_LIMIT or whose stored generators do not generate it,
 and keeps its upper chain, built on first use: the upper indices, the
 chain dimensions and the direct dimension subgroups all read that one
 list.  On a 2-CPU x86-64 machine with one BLAS thread the whole oracle
-at p = 2 takes about 0.03 s for the order-128 D8wrC2, 0.12 s for
+at p = 2 takes about 0.03 s for the order-128 D8wrC2, 0.11 s for
 D8wrC2 x C2 (order 256) and 0.8 s for D8wrC2 x C4 (order 512).
 """
 
@@ -118,6 +119,20 @@ def _residues(rows, p: int, work) -> np.ndarray:
         return _mod(c.astype(work, copy=False), p)
     # Reduce other integer input exactly before it turns float.
     return np.asarray(c % p, dtype=work)
+
+
+def _unit_solve(r: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    """(I - M)^-1 r for rows r that are unit upper triangular, I - M, on
+    the columns cols: (I + M)(I + M^2)(I + M^4)... = (I - M)^-1."""
+    m, diag = -r[:, cols], np.arange(len(cols))
+    m[diag, diag] = 0
+    if not np.logical_or.reduce(m, axis=None):
+        return r
+    inv = (m := _mod(m, p)).copy()
+    inv[diag, diag] = 1
+    while np.logical_or.reduce(m := _mod(m @ m, p), axis=None):
+        inv = _mod(inv + inv @ m, p)
+    return _mod(inv @ r, p)
 
 
 class FpSubspace:
@@ -189,40 +204,36 @@ class FpSubspace:
         independent modulo the old basis and spanning the new one with it.
 
         Each chunk of _CHUNK_ROWS rows, reduced against the basis so far, is
-        eliminated in rounds: one row per distinct leading column, scaled to
-        a leading 1 where its lead is not 1, is unit upper triangular, I - M,
-        on those columns, and (I + M)(I + M^2)(I + M^4)... = (I - M)^-1
-        reduces it fully unless M = 0.  Each chunk returns its new rows."""
+        eliminated in rounds: the first row per distinct leading column,
+        scaled to a leading 1 where its lead is not 1, is unit upper
+        triangular, I - M, on those columns, and (I - M)^-1 reduces it
+        fully; the picked rows reduce to zero and leave the chunk.  The
+        rows of all rounds are unit upper triangular in round order, and
+        one more such inverse reduces them against each other.  Each chunk
+        returns its new rows."""
         p, added = self.p, []
         rows = np.asarray(candidates).reshape(-1, self.width)
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             c = self.reduce(rows[start:start + _CHUNK_ROWS])
-            c = c[c.any(axis=1)]
-            if not c.shape[0]:
-                continue
-            found, cols = None, []
-            while c.shape[0]:
-                col, pick = np.unique((c != 0).argmax(axis=1),
-                                      return_index=True)
+            found, cols = [], []
+            while (c := c[np.logical_or.reduce(c != 0, axis=1)]).shape[0]:
+                n, leads = c.shape[0], (c != 0).argmax(axis=1)
+                first = np.full(c.shape[1], n)
+                np.minimum.at(first, leads, np.arange(n))
+                pick = first[first < n]
+                col = leads[pick]
                 r, lead = c[pick], c[pick, col]
-                if (lead != 1).any():
+                if np.logical_or.reduce(lead != 1):
                     scale = [pow(int(x), p - 2, p) for x in lead]
                     r = _mod(r * np.array(scale, dtype=self.work)[:, None], p)
-                m = _mod(-np.triu(r[:, col], 1), p)
-                if m.any():
-                    inv = np.eye(len(col), dtype=self.work) + m
-                    while (m := _mod(m @ m, p)).any():
-                        inv = _mod(inv + inv @ m, p)
-                    r = _mod(inv @ r, p)
-                rest = np.ones(c.shape[0], dtype=bool)
-                rest[pick] = False
-                c = c[rest]
+                r = _unit_solve(r, col, p)
                 c = _mod(c - c[:, col] @ r, p)
-                c = c[c.any(axis=1)]
-                found = r if found is None else np.vstack(
-                    [_mod(found - found[:, col] @ r, p), r])
+                found.append(r)
                 cols.append(col)
+            if not found:
+                continue
             cols = np.concatenate(cols)
+            found = _unit_solve(np.concatenate(found), cols, p)
             new = np.zeros((len(cols), self.width), dtype=self.work)
             new[:, self.free] = found
             kept = np.ones(len(self.free), dtype=bool)
@@ -240,12 +251,13 @@ class FpSubspace:
         return np.concatenate(added) if added else self.basis[:0]
 
     def close(self, perms) -> "FpSubspace":
-        """Absorb the images of the new rows, the whole basis first,
-        under every coordinate permutation until none is new; returns
-        the subspace."""
+        """Absorb the images of the new rows, the whole basis first, under
+        every coordinate permutation (a row of perms), gathered from the
+        new rows transposed, until none is new; returns the subspace."""
         fresh = self.basis
         while fresh.shape[0] and len(perms):
-            fresh = self.absorb(np.vstack([fresh[:, perm] for perm in perms]))
+            fresh = self.absorb(fresh.T.copy()[perms].transpose(0, 2, 1)
+                                .reshape(-1, self.width))
         return self
 
 
@@ -266,18 +278,19 @@ class GroupAlgebra:
         # Every group up to the limit stores a table, and fetching it
         # allocates nothing.
         self._table = group.dense_table()
-        generated = subgroup_generated(group, group.generators).order
-        if generated != group.order:
+        generated = subgroup_generated(group, group.generators)
+        if generated.order != group.order:
             raise NotGeneratingError(
                 f"the stored generators generate a subgroup of order "
-                f"{generated}, not the whole group of order {group.order}")
+                f"{generated.order}, not the whole group of order "
+                f"{group.order}")
         self.group = group
         self.p = p
         self.n = group.order
         self._inv = group._inverses.astype(np.intp)
-        self._gens = tuple(s for s in dict.fromkeys(group.generators) if s)
-        self._sides = [perm for s in self._gens
-                       for perm in (self._left(s), self._right(s))]
+        self._gens = generated.generators
+        self._sides = np.array([perm for s in self._gens
+                                for perm in (self._left(s), self._right(s))])
 
     def _left(self, g: int | list[int]) -> np.ndarray:
         """x -> delta_g * x permutes coordinates by h -> g^-1 h."""
@@ -362,7 +375,7 @@ def _lower_spans(algebra: GroupAlgebra):
     reps = np.flatnonzero((conj.min(axis=0) == np.arange(n))
                           & (conj != np.arange(n)).any(axis=0))
     # x[:, conj[s]] is x conjugated by delta_s^-1; the s^-1 generate G.
-    perms = [conj[s] for s in algebra._gens]
+    perms = conj[list(algebra._gens)]
     return algebra._lie_powers(reps, perms, "lower")
 
 
@@ -380,13 +393,14 @@ def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
 def dimension_series_direct(algebra: GroupAlgebra) -> list[Subgroup]:
     """All dimension subgroups from the definition, cut at the first
     trivial term: the m-th holds the g with delta_g - delta_1 in the
-    m-th upper Lie power, so the last, zero, power gives the trivial one."""
+    m-th upper Lie power, so the last, zero, power gives the trivial one.
+    The powers are nested: only one term's members are tested for the next."""
     chain = algebra._upper
     deltas = np.eye(algebra.n, dtype=chain[0].work)
     deltas[:, 0] -= 1
-    series = []
+    members, series = np.arange(algebra.n), []
     for term in chain:
-        members = np.flatnonzero(~term.reduce(deltas).any(axis=1))
+        members = members[~term.reduce(deltas[members]).any(axis=1)]
         series.append(Subgroup(algebra.group, members))
         if series[-1].is_trivial:
             break

@@ -803,6 +803,29 @@ def test_subgroup_generated_matches_brute_force():
             brute_closure(q8, seed)
 
 
+def test_closures_keep_only_the_seeds_they_need(built):
+    """subgroup_generated and normal_closure store the seeds their closure
+    kept: each lies outside the subgroup the ones before it generate, and
+    together they generate the members.  A generated subgroup keeps a
+    subset of its seeds, so the five stored generators of D8wrC2 come
+    down to three, while a normal closure keeps conjugates as well."""
+    rng = np.random.default_rng(7)
+    for name in ("D8", "Q8", "S3", "H27", "C2wrC4", "D8wrC2"):
+        g = built(name)
+        for seeds in (list(g.generators), list(range(g.order)),
+                      rng.integers(0, g.order, 3).tolist()):
+            generated = subgroup_generated(g, seeds)
+            assert set(generated.generators) <= set(seeds), (name, seeds)
+            for sub in (generated, groups.normal_closure(g, seeds)):
+                kept = sub.generators
+                for k, s in enumerate(kept):
+                    assert s not in brute_closure(g, kept[:k]), (name, kept)
+                assert brute_closure(g, kept) == frozenset(sub.members)
+    d8wr = built("D8wrC2")
+    assert len(d8wr.generators) == 5
+    assert subgroup_generated(d8wr, d8wr.generators).generators == (1, 2, 8)
+
+
 def test_commutator_subgroup_against_brute_force(built):
     for name in ("D8", "Q8", "D16", "S3", "C2wrC4"):
         g = built(name)

@@ -153,12 +153,23 @@ def _random_rows(p, count, width, seed):
 
 
 def _block(kind, rows, width, p, rng):
-    """A seeded candidate block of one of seven shapes, entries in [0, p),
+    """A seeded candidate block of one of eight shapes, entries in [0, p),
     in Python ints at the large primes."""
     dtype = object if p in LARGE_PRIMES else np.int64
     draw = lambda *shape: rng.integers(0, p, shape).astype(dtype)
     if kind == "random":
         return draw(rows, width)
+    if kind == "shared_leads":
+        # Dense rows that share three lead columns, so that each round
+        # picks one row of many per column; about half the leads are 1,
+        # and the block is Fortran-ordered.
+        lead = rng.choice(width // 2, 3, replace=False)[
+            rng.integers(0, 3, rows)]
+        block = draw(rows, width)
+        block[np.arange(width) < lead[:, None]] = 0
+        block[np.arange(rows), lead] = np.where(
+            rng.random(rows) < 0.5, 1, rng.integers(1, p, rows)).astype(dtype)
+        return np.asfortranarray(block)
     if kind in ("unit_leads", "mixed_leads"):
         # Sparse rows, so that the rows picked in one round are often
         # already reduced on some of each other's pivot columns; every
@@ -199,8 +210,8 @@ ECHELON_CHUNKS = {181: 64}
 
 @pytest.mark.parametrize("p", list(ECHELON_WIDTHS))
 @pytest.mark.parametrize("kind", ["random", "rank_deficient", "duplicates",
-                                  "shared_lead", "extreme", "unit_leads",
-                                  "mixed_leads"])
+                                  "shared_lead", "shared_leads", "extreme",
+                                  "unit_leads", "mixed_leads"])
 def test_absorb_matches_reference_echelon(monkeypatch, p, kind):
     """The chunked, round-wise elimination gives the subspace of the
     one-pivot-at-a-time reference, on blocks shorter than, as long as
@@ -208,7 +219,8 @@ def test_absorb_matches_reference_echelon(monkeypatch, p, kind):
     same subspace as absorbing in one.  The unit_leads and mixed_leads
     blocks reach rounds that skip the scaling and rounds that skip the
     inverse of I - M, next to rounds where only some leads are 1 or only
-    some rows of M are 0."""
+    some rows of M are 0.  The shared_leads blocks pick one row out of
+    many per lead column, from Fortran-ordered input."""
     chunk = ECHELON_CHUNKS.get(p, _CHUNK_ROWS)
     monkeypatch.setattr("lienilp.oracle._CHUNK_ROWS", chunk)
     rng = np.random.default_rng([p % 1000, len(kind)])
@@ -487,6 +499,16 @@ def test_non_generating_generators_rejected(built):
     assert subgroup_generated(d8, d8.generators[:1]).order == 4
     with pytest.raises(NotGeneratingError):
         GroupAlgebra(rotations, 2)
+
+
+def test_algebra_runs_on_the_generators_its_check_kept(built):
+    """The algebra brackets with, and closes under, the generators that
+    the closure of its generation check kept: three of D8wrC2's five."""
+    g = built("D8wrC2")
+    alg = GroupAlgebra(g, 2)
+    assert alg._gens == subgroup_generated(g, g.generators).generators
+    assert len(alg._gens) == 3 < len(g.generators)
+    assert len(alg._sides) == 2 * len(alg._gens)
 
 
 def test_chains_match_all_elements_reference(catalog):
