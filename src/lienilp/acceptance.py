@@ -1,14 +1,15 @@
 """The acceptance suite: one table of criteria, shared by the
 ``selftest`` CLI command and the pytest acceptance module.
 
-``run_all`` analyses every catalog entry once at each prime; the
-criteria read those reports, most of them through the cross-checks
-``analyze`` already stored in ``checks``.  Only the central-quotient
-identity and the relabelling trials build groups of their own.  Each
-row of ``CRITERIA`` is a key, a title and a body returning pass, fail
-or skip with a detail string; criteria that need the explicit algebra
-oracle report "skip" when the oracle cap rules it out, while the
-formula-only criteria always run.
+``run_all`` analyses every catalog entry once at each prime.  One
+criterion reads every cross-check ``analyze`` stored in ``checks``, on
+every report; the others compute something of their own: the golden
+indices, the sharpness witnesses, the central-quotient identity, the
+relabelling trials and the negative controls.  Each row of
+``CRITERIA`` is a key, a title and a body returning pass, fail or skip
+with a detail string.  A criterion that needs the explicit algebra
+oracle reports "skip" when the oracle cap rules it out everywhere; a
+False check fails at any cap, and the formula-only criteria always run.
 """
 
 from __future__ import annotations
@@ -77,25 +78,9 @@ def _report(reports: dict, name: str, p: int) -> LieReport:
     return rep
 
 
-def _lie_nilpotent(reports: dict, *, primes=PRIMES,
-                   max_order: int | None = None,
-                   oracle: bool = False) -> list[LieReport]:
-    """The Lie nilpotent reports, in catalog order, then prime order;
-    with ``oracle`` only those the oracle ran on."""
-    reps = (_report(reports, name, p) for name, p in reports if p in primes)
-    return [rep for rep in reps
-            if rep.lie_nilpotent and (rep.oracle.ran or not oracle)
-            and (max_order is None or rep.order <= max_order)]
-
-
-def _failed(reps: list[LieReport], **messages: str) -> list[str]:
-    """``name@pP: message`` for each report and each check named by a
-    keyword that the report holds False (None, a check that did not
-    run, passes).  A message may name the report's fields as
-    ``{rep.field}``."""
-    return [f"{rep.name}@p{rep.prime}: " + message.format(rep=rep)
-            for rep in reps for check, message in messages.items()
-            if rep.checks.get(check) is False]
+def _all(reports: dict) -> list[LieReport]:
+    """Every report, in catalog order, then prime order."""
+    return [_report(reports, name, p) for name, p in reports]
 
 
 def _golden_indices(catalog, reports, oracle_cap):
@@ -120,56 +105,26 @@ def _golden_indices(catalog, reports, oracle_cap):
     return "pass", f"{len(GOLDEN_INDICES)} indices via both routes"
 
 
-def _route_equivalence(catalog, reports, oracle_cap):
-    reps = _lie_nilpotent(reports, primes=(2, 3), max_order=64)
-    mismatches = _failed(reps, routes_agree="recursive != product",
-                         direct_series_agrees="direct route differs")
-    if mismatches:
-        return "fail", "; ".join(mismatches)
-    count = len(_lie_nilpotent(reports, primes=(2, 3), max_order=64,
-                               oracle=True))
-    if count == 0:
-        return "skip", f"oracle cap {oracle_cap} rules out every group"
-    skipped = len(reps) - count
-    note = f" ({skipped} above the oracle cap)" if skipped else ""
-    return "pass", f"{count} (group, p) pairs, three routes each{note}"
-
-
-def _biconditional(catalog, reports, oracle_cap):
-    reps = (_lie_nilpotent(reports, primes=(2,), max_order=64)
-            + _lie_nilpotent(reports, primes=(3,), max_order=81))
-    violations = _failed(reps, classification_biconditional=(
-        "disagreement: structural={rep.structural_case!r} "
-        "profile={rep.profile_case!r} verdict={rep.verdict} "
-        "(t={rep.t_upper_jennings}, n={rep.n})"))
-    if violations:
-        return "fail", "; ".join(violations)
-    return "pass", f"{len(reps)} (group, p) pairs, zero violations"
-
-
-def _bounds(catalog, reports, oracle_cap):
-    reps = _lie_nilpotent(reports, oracle=True)
-    violations = _failed(
-        reps,
-        bounds="{rep.oracle.t_lower} <= {rep.oracle.t_upper} <= |G'| + 1 "
-               "fails",
-        char_gt3_equality="lower {rep.oracle.t_lower} != upper "
-                          "{rep.oracle.t_upper}")
-    if violations:
-        return "fail", "; ".join(violations)
-    if not reps:
-        return "skip", f"oracle cap {oracle_cap} rules out every group"
-    equal5 = sum(rep.prime == 5 for rep in reps)
-    return "pass", (f"bounds hold on {len(reps)} oracle runs; "
-                    f"lower = upper on {equal5} p=5 entries")
+def _checks(catalog, reports, oracle_cap):
+    reps = _all(reports)
+    failures = [f"{rep.name}@p{rep.prime}: {check}"
+                for rep in reps for check in rep.failed_checks]
+    if failures:
+        return "fail", "; ".join(failures)
+    ran = sum(rep.oracle.ran for rep in reps)
+    if not ran:
+        return "skip", (f"formula checks hold on {len(reps)} analyses; "
+                        f"oracle cap {oracle_cap} rules out every group")
+    return "pass", (f"every check holds on {len(reps)} analyses, {ran} "
+                    f"with the oracle")
 
 
 def _sharpness(catalog, reports, oracle_cap):
+    reps = _all(reports)
     details = []
     for p, expected_name, expected_t in ((2, "C2wrC4", 8),
                                          (3, "C3wrC3", 8)):
-        witnesses = corollary_sharpness(
-            p, _lie_nilpotent(reports, primes=(p,)))
+        witnesses = corollary_sharpness(p, reps)
         if not witnesses:
             return "fail", f"no sharpness witness for p = {p}"
         names = {w.name: w for w in witnesses}
@@ -190,10 +145,8 @@ def _sharpness(catalog, reports, oracle_cap):
     return "pass", "; ".join(details)
 
 
-def _vanishing_and_quotients(catalog, reports, oracle_cap):
-    reps = _lie_nilpotent(reports)
-    violations = _failed(
-        reps, shalev_vanishing="a forced-vanishing rule fails")
+def _central_quotients(catalog, reports, oracle_cap):
+    violations = []
     for name, p in (("C2wrC4", 2), ("C3wrC3", 3)):
         g = catalog.build(name)
         n = _report(reports, name, p).n
@@ -202,8 +155,7 @@ def _vanishing_and_quotients(catalog, reports, oracle_cap):
             violations.append(f"{name}@p{p}: quotient series mismatch")
     if violations:
         return "fail", "; ".join(violations)
-    return "pass", (f"no forced-vanishing violations on {len(reps)} pairs; "
-                    f"central-quotient identity holds on both witnesses")
+    return "pass", "central-quotient identity holds on both witnesses"
 
 
 def _relabelled(g: FiniteGroup, rng: random.Random) -> FiniteGroup:
@@ -221,9 +173,8 @@ _RELABEL_KEYS = ("order", "lie_nilpotent", "nilpotency_class", "gamma_series",
                  "verdict", "structural_case", "profile_case")
 
 
-def _sum_rule_and_relabelling(catalog, reports, oracle_cap):
-    reps = _lie_nilpotent(reports)
-    violations = _failed(reps, sum_rule="sum rule fails")
+def _relabelling(catalog, reports, oracle_cap):
+    violations = []
     rng = random.Random(20260810)
     for name, p in (("D8", 2), ("Q8", 2), ("C4xC2", 2), ("H27", 3)):
         g = catalog.build(name)
@@ -237,8 +188,7 @@ def _sum_rule_and_relabelling(catalog, reports, oracle_cap):
                     f"{name}@p{p} relabel {trial}: fields differ {diff}")
     if violations:
         return "fail", "; ".join(violations)
-    return "pass", (f"sum rule on {len(reps)} pairs; reports invariant "
-                    f"under 12 random relabellings")
+    return "pass", "reports invariant under 12 random relabellings"
 
 
 def _negative_controls(catalog, reports, oracle_cap):
@@ -248,13 +198,12 @@ def _negative_controls(catalog, reports, oracle_cap):
         if rep.lie_nilpotent or rep.verdict != "not_lie_nilpotent":
             failures.append(f"S3@p{p}: verdict {rep.verdict}")
     abelian_count = 0
-    for name, p in reports:
-        rep = _report(reports, name, p)
+    for rep in _all(reports):
         if rep.nilpotency_class not in (0, 1):
             continue
         if rep.t_upper_jennings != 2:
-            failures.append(
-                f"{name}@p{p}: abelian t = {rep.t_upper_jennings}")
+            failures.append(f"{rep.name}@p{rep.prime}: abelian t = "
+                            f"{rep.t_upper_jennings}")
         abelian_count += 1
     if failures:
         return "fail", "; ".join(failures)
@@ -267,20 +216,15 @@ def _negative_controls(catalog, reports, oracle_cap):
 CRITERIA = (
     ("1-golden-indices", "golden upper indices via formula and oracle",
      _golden_indices),
-    ("2-route-equivalence", "recursive = product = direct dimension series",
-     _route_equivalence),
-    ("3-biconditional", "structural case = jump profile = computed index",
-     _biconditional),
-    ("4-bounds", "t_lower <= t_upper <= |G'|+1; equality for p=5", _bounds),
-    ("5-sharpness", "second-highest index attained at p = 2 and 3",
+    ("2-checks", "every cross-check analyze stored holds on every report",
+     _checks),
+    ("3-sharpness", "second-highest index attained at p = 2 and 3",
      _sharpness),
-    ("6-vanishing-quotients",
-     "forced vanishing rules and central-quotient identity",
-     _vanishing_and_quotients),
-    ("7-sum-rule-relabelling",
-     "jump exponents sum to n; reports survive relabelling",
-     _sum_rule_and_relabelling),
-    ("8-negative-controls",
+    ("4-central-quotients",
+     "central-quotient identity on the sharpness witnesses",
+     _central_quotients),
+    ("5-relabelling", "reports survive relabelling", _relabelling),
+    ("6-negative-controls",
      "S3 is never Lie nilpotent; abelian groups sit at t = 2",
      _negative_controls),
 )

@@ -99,7 +99,9 @@ class NotGeneratingError(LieNilpError):
 
 class NoConvergenceError(LieNilpError):
     """A Lie power chain stopped above zero: a term was no smaller than
-    the one before.  ``dims`` are the chain's dimensions up to that term."""
+    the one before; or the GF(p) elimination ran past its bound on
+    rounds or squarings, a kernel defect.  ``dims`` are the chain's
+    dimensions up to that term, empty for the elimination."""
 
     def __init__(self, message: str, dims: list[int] | None = None):
         self.dims = dims or []

@@ -369,14 +369,17 @@ def from_multiplication_table(table) -> FiniteGroup:
 
     The identity is relocated to index 0 when necessary.  Raises
     NotAssociativeError / NoIdentityError / NoInverseError naming the
-    violating triple or element, and CapExceededError for more than
-    TABLE_BACKING_LIMIT rows, before any array of the table is built.
+    violating triple or element; CapExceededError for more than
+    TABLE_BACKING_LIMIT rows and ValueError for a row whose length is
+    not the number of rows, both before any array of the table is built.
     """
-    _check_table(len(table), "table order")
-    t = np.asarray(table, dtype=np.int64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    n = len(table)
+    _check_table(n, "table order")
+    if not all(hasattr(row, "__len__") and len(row) == n for row in table):
         raise ValueError("multiplication table must be square")
-    n = t.shape[0]
+    t = np.asarray(table, dtype=np.int64)
+    if t.ndim != 2:
+        raise ValueError("multiplication table must be square")
     if n == 0:
         raise ValueError("multiplication table must be nonempty")
     if t.min() < 0 or t.max() >= n:

@@ -123,16 +123,24 @@ def _residues(rows, p: int, work) -> np.ndarray:
 
 def _unit_solve(r: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
     """(I - M)^-1 r for rows r that are unit upper triangular, I - M, on
-    the columns cols: (I + M)(I + M^2)(I + M^4)... = (I - M)^-1."""
-    m, diag = -r[:, cols], np.arange(len(cols))
+    the columns cols: (I + M)(I + M^2)(I + M^4)... = (I - M)^-1.  M is
+    strictly upper triangular, so M^k = 0 for k columns, within
+    (k - 1).bit_length() squarings; past them NoConvergenceError
+    reports a kernel defect."""
+    k = len(cols)
+    m, diag = -r[:, cols], np.arange(k)
     m[diag, diag] = 0
     if not np.logical_or.reduce(m, axis=None):
         return r
     inv = (m := _mod(m, p)).copy()
     inv[diag, diag] = 1
-    while np.logical_or.reduce(m := _mod(m @ m, p), axis=None):
+    for _ in range((k - 1).bit_length()):
+        if not np.logical_or.reduce(m := _mod(m @ m, p), axis=None):
+            return _mod(inv @ r, p)
         inv = _mod(inv + inv @ m, p)
-    return _mod(inv @ r, p)
+    raise NoConvergenceError(
+        f"GF({p}) elimination: M on {k} columns is not nilpotent, a kernel "
+        f"defect")
 
 
 class FpSubspace:
@@ -210,13 +218,16 @@ class FpSubspace:
         fully; the picked rows reduce to zero and leave the chunk.  The
         rows of all rounds are unit upper triangular in round order, and
         one more such inverse reduces them against each other.  Each chunk
-        returns its new rows."""
+        returns its new rows.  A chunk still nonzero after more rounds
+        than it had rows raises NoConvergenceError (a kernel defect)."""
         p, added = self.p, []
         rows = np.asarray(candidates).reshape(-1, self.width)
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             c = self.reduce(rows[start:start + _CHUNK_ROWS])
             found, cols = [], []
-            while (c := c[np.logical_or.reduce(c != 0, axis=1)]).shape[0]:
+            for _ in range(c.shape[0] + 1):
+                if not (c := c[np.logical_or.reduce(c != 0, axis=1)]).shape[0]:
+                    break
                 n, leads = c.shape[0], (c != 0).argmax(axis=1)
                 first = np.full(c.shape[1], n)
                 np.minimum.at(first, leads, np.arange(n))
@@ -230,6 +241,10 @@ class FpSubspace:
                 c = _mod(c - c[:, col] @ r, p)
                 found.append(r)
                 cols.append(col)
+            else:
+                raise NoConvergenceError(
+                    f"GF({p}) elimination: a chunk kept nonzero rows after "
+                    f"more rounds than it had rows, a kernel defect")
             if not found:
                 continue
             cols = np.concatenate(cols)

@@ -9,12 +9,13 @@ import dataclasses
 
 import pytest
 
-from lienilp.acceptance import CRITERIA, run_all, run_criterion
+from lienilp.acceptance import CRITERIA, analyze_catalog, run_all, \
+    run_criterion
 from lienilp.catalog import Catalog
 from lienilp.oracle import DEFAULT_ORACLE_CAP
 from lienilp.report import analyze
 
-BUDGETS = {"1-golden-indices": 10.0, "2-route-equivalence": 60.0}
+BUDGETS = {"1-golden-indices": 10.0, "2-checks": 60.0}
 
 
 def _criterion(key):
@@ -46,7 +47,7 @@ def test_negative_oracle_cap_rejected(built):
 
 
 def test_suite_is_complete():
-    assert len(CRITERIA) == 8
+    assert len(CRITERIA) == 6
     assert set(BUDGETS) <= {c[0] for c in CRITERIA}
 
 
@@ -54,10 +55,9 @@ def test_oracle_free_run_skips_not_fails(catalog):
     results = run_all(catalog, oracle_cap=0)
     by_key = {r.key: r for r in results}
     assert by_key["1-golden-indices"].status == "skip"
-    assert by_key["2-route-equivalence"].status == "skip"
-    assert by_key["4-bounds"].status == "skip"
-    for key in ("3-biconditional", "5-sharpness", "6-vanishing-quotients",
-                "7-sum-rule-relabelling", "8-negative-controls"):
+    assert by_key["2-checks"].status == "skip"
+    for key in ("3-sharpness", "4-central-quotients", "5-relabelling",
+                "6-negative-controls"):
         assert by_key[key].status == "pass"
     assert all(r.ok for r in results)
 
@@ -76,42 +76,98 @@ def test_failed_analysis_fails_its_criteria(catalog, monkeypatch):
 
     monkeypatch.setattr(acceptance, "analyze", failing)
     by_key = {r.key: r for r in run_all(catalog, oracle_cap=0)}
-    for key in ("1-golden-indices", "2-route-equivalence",
-                "3-biconditional", "8-negative-controls"):
+    for key in ("1-golden-indices", "2-checks", "3-sharpness",
+                "6-negative-controls"):
         assert by_key[key].status == "fail", key
         assert by_key[key].detail == "RuntimeError: analysis broke"
 
 
-# One check set False on one report: the criterion that reads it and
-# its exact detail.
-FAILED_CHECKS = [
-    ("routes_agree", "D8", 2, "2-route-equivalence",
-     "D8@p2: recursive != product"),
-    ("direct_series_agrees", "D8", 2, "2-route-equivalence",
-     "D8@p2: direct route differs"),
-    ("classification_biconditional", "D8", 2, "3-biconditional",
-     "D8@p2: disagreement: structural=None profile=None verdict=maximal "
-     "(t=3, n=1)"),
-    ("bounds", "D8", 2, "4-bounds", "D8@p2: 3 <= 3 <= |G'| + 1 fails"),
-    ("char_gt3_equality", "H125", 5, "4-bounds",
-     "H125@p5: lower 6 != upper 6"),
-    ("shalev_vanishing", "D8", 2, "6-vanishing-quotients",
-     "D8@p2: a forced-vanishing rule fails"),
-    ("sum_rule", "Q8", 2, "7-sum-rule-relabelling", "Q8@p2: sum rule fails"),
+CHECK_NAMES = ("bounds", "char_gt3_equality",
+               "classification_biconditional", "direct_series_agrees",
+               "oracle_upper_matches_jennings", "routes_agree",
+               "shalev_vanishing", "sum_rule")
+
+# One check set False on one report.  First the cases of the criteria
+# the checks criterion replaced, named by their check; then every check
+# on the largest groups the oracle runs on (char_gt3_equality runs only
+# at p > 3, so only on H125, where it is among the first cases).
+REPLACED_CASES = [
+    ("routes_agree", "D8", 2),
+    ("direct_series_agrees", "D8", 2),
+    ("classification_biconditional", "D8", 2),
+    ("bounds", "D8", 2),
+    ("char_gt3_equality", "H125", 5),
+    ("shalev_vanishing", "D8", 2),
+    ("sum_rule", "Q8", 2),
 ]
+LARGE_CASES = [(check, name, p)
+               for name, p in (("D8wrC2", 2), ("H125", 5), ("C3wrC3", 3))
+               for check in CHECK_NAMES if check != "char_gt3_equality"]
 
 
-@pytest.mark.parametrize("check, name, p, key, detail", FAILED_CHECKS,
-                         ids=[case[0] for case in FAILED_CHECKS])
-def test_failed_check_fails_its_criterion(catalog, catalog_reports, check,
-                                          name, p, key, detail):
-    """A report whose check is False fails the criterion that reads it,
-    and the detail names the group, the prime and what failed."""
-    reports = dict(catalog_reports)
+def _planted(reports, name, p, check, value=False):
+    """The reports with one check of one report set to value."""
+    reports = dict(reports)
     rep = reports[name, p]
     reports[name, p] = dataclasses.replace(rep,
-                                           checks={**rep.checks, check: False})
-    result = run_criterion(_criterion(key), catalog, reports,
+                                           checks={**rep.checks, check: value})
+    return reports
+
+
+@pytest.fixture(scope="module")
+def cap0_reports(catalog):
+    return analyze_catalog(catalog, 0)
+
+
+@pytest.mark.parametrize(
+    "check, name, p", REPLACED_CASES + LARGE_CASES,
+    ids=[case[0] for case in REPLACED_CASES]
+    + [f"{c}-{n}@p{p}" for c, n, p in LARGE_CASES])
+def test_failed_check_fails_its_criterion(catalog, catalog_reports, check,
+                                          name, p):
+    """A report whose check is False fails the checks criterion, and the
+    detail names the group, the prime and the check."""
+    assert catalog_reports[name, p].checks[check] is True
+    result = run_criterion(_criterion("2-checks"), catalog,
+                           _planted(catalog_reports, name, p, check),
                            DEFAULT_ORACLE_CAP)
     assert result.status == "fail"
-    assert result.detail == detail
+    assert result.detail == f"{name}@p{p}: {check}"
+
+
+def test_failed_checks_are_all_named(catalog, catalog_reports):
+    """Every False check is named, in catalog then prime order."""
+    reports = _planted(catalog_reports, "H125", 5, "bounds")
+    reports = _planted(reports, "D8", 2, "sum_rule")
+    reports = _planted(reports, "D8", 2, "routes_agree")
+    result = run_criterion(_criterion("2-checks"), catalog, reports,
+                           DEFAULT_ORACLE_CAP)
+    assert result.detail == ("D8@p2: routes_agree; D8@p2: sum_rule; "
+                             "H125@p5: bounds")
+
+
+def test_failed_formula_check_fails_without_the_oracle(catalog,
+                                                       cap0_reports):
+    """With no oracle run anywhere the checks criterion skips, but a
+    False formula check still fails it."""
+    criterion = _criterion("2-checks")
+    assert run_criterion(criterion, catalog, cap0_reports, 0).status == \
+        "skip"
+    result = run_criterion(criterion, catalog,
+                           _planted(cap0_reports, "Q8", 2, "sum_rule"), 0)
+    assert result.status == "fail"
+    assert result.detail == "Q8@p2: sum_rule"
+
+
+def test_unrun_check_fails_nothing(catalog, catalog_reports, cap0_reports):
+    """A check left None because the oracle did not run fails no
+    criterion: above the cap (C5wrC5 at p = 5, order 15625), on every
+    group at cap 0, and planted in place of a passing check."""
+    assert catalog_reports["C5wrC5", 5].checks["bounds"] is None
+    assert cap0_reports["D8", 2].checks["bounds"] is None
+    planted = _planted(catalog_reports, "D8", 2, "bounds", None)
+    for reports, cap in ((catalog_reports, DEFAULT_ORACLE_CAP),
+                         (planted, DEFAULT_ORACLE_CAP), (cap0_reports, 0)):
+        for criterion in CRITERIA:
+            result = run_criterion(criterion, catalog, reports, cap)
+            assert result.ok, (criterion[0], result.detail)

@@ -279,6 +279,8 @@ def test_builder_refusal_names_its_entry(tmp_path, capsys, command):
      "multiplication table has no two-sided identity"),
     ('"kind": "table", "table": [[0, 1], [1, 1]]', NoInverseError,
      "element 1 has no two-sided inverse"),
+    ('"kind": "table", "table": [[0, 1], [1]]', ValueError,
+     "multiplication table must be square"),
     ('"kind": "semidirect", "parts": ["C4", "C2"], "action": '
      '{"1": [0, 2, 1, 3]}', NotAutomorphismError,
      "action of element 1 does not preserve multiplication"),
@@ -458,9 +460,9 @@ def test_selftest_skips_oracle_criteria(capsys):
     assert rc == 0
     by_key = {c["key"]: c["status"] for c in payload["criteria"]}
     assert by_key["1-golden-indices"] == "skip"
-    assert by_key["4-bounds"] == "skip"
-    assert by_key["3-biconditional"] == "pass"
-    assert by_key["8-negative-controls"] == "pass"
+    assert by_key["2-checks"] == "skip"
+    assert by_key["3-sharpness"] == "pass"
+    assert by_key["6-negative-controls"] == "pass"
 
 
 NON_PRIMES = ["1", "0", "4", "6", "-2"]

@@ -94,6 +94,16 @@ def test_missing_identity():
         from_multiplication_table([[1, 1], [1, 1]])
 
 
+def test_ragged_table_refused_before_numpy(monkeypatch):
+    """A table whose rows differ in length is refused in the program's
+    own words, before numpy sees it."""
+    monkeypatch.setattr(groups, "np", None)
+    for table in ([[0, 1], [1]], [[0], [0]], [0]):
+        with pytest.raises(ValueError,
+                           match="^multiplication table must be square$"):
+            from_multiplication_table(table)
+
+
 def test_not_associative_names_triple():
     table = [[0, 1, 2], [1, 2, 2], [2, 2, 1]]
     with pytest.raises(NotAssociativeError) as err:

@@ -25,6 +25,7 @@ from lienilp.oracle import (
     FpSubspace,
     GroupAlgebra,
     _lower_spans,
+    _unit_solve,
     _work_dtype,
     dimension_series_direct,
     lower_lie_powers,
@@ -259,6 +260,26 @@ def test_absorb_returns_what_is_new(monkeypatch, p):
     assert FpSubspace.from_vectors(old.reduce(returned), p).dim == 12
     assert FpSubspace.from_vectors(np.vstack([old.basis, returned]),
                                    p) == space
+
+
+def test_unit_solve_refuses_a_non_nilpotent_m():
+    """Rows that are not unit upper triangular on their columns give an
+    M that is not nilpotent: here M^2 = I mod 5, so no squaring reaches
+    0, and the solve raises after the one squaring that two columns
+    allow instead of looping."""
+    with pytest.raises(NoConvergenceError, match="kernel defect$"):
+        _unit_solve(np.array([[1., 1.], [1., 1.]], dtype=np.float32),
+                    np.array([0, 1]), 5)
+
+
+def test_absorb_refuses_rounds_that_drop_no_row(monkeypatch):
+    """A planted kernel fault, a solve that returns zeros, leaves every
+    row of the chunk nonzero round after round; absorb raises once it
+    has run more rounds than the chunk has rows instead of looping."""
+    monkeypatch.setattr("lienilp.oracle._unit_solve",
+                        lambda r, cols, p: 0 * r)
+    with pytest.raises(NoConvergenceError, match="kernel defect$"):
+        FpSubspace.from_vectors(np.eye(3, dtype=np.int64), 5)
 
 
 @pytest.mark.parametrize("p, width, work", [
