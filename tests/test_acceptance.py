@@ -23,17 +23,42 @@ def _criterion(key):
     return row
 
 
-@pytest.mark.parametrize("criterion", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_criterion(catalog, catalog_reports, criterion):
-    result = run_criterion(criterion, catalog, catalog_reports,
-                           DEFAULT_ORACLE_CAP)
-    print(f"[{result.status.upper():4}] {result.key}  "
+# The criteria folded into 2-checks, each with the checks it read and
+# the Lie nilpotent reports it read them on.  2-checks passes a check
+# that did not run, so these pin that each still runs there and holds.
+FOLDED = {
+    "2-route-equivalence": (
+        ("routes_agree",
+         lambda rep: rep.prime in (2, 3) and rep.order <= 64),
+        ("direct_series_agrees",
+         lambda rep: rep.prime in (2, 3) and rep.order <= 64
+         and rep.oracle.ran)),
+    "3-biconditional": (
+        ("classification_biconditional",
+         lambda rep: rep.order <= {2: 64, 3: 81}.get(rep.prime, 0)),),
+    "4-bounds": (
+        ("bounds", lambda rep: rep.oracle.ran),
+        ("char_gt3_equality", lambda rep: rep.oracle.ran and rep.prime > 3)),
+}
+
+
+@pytest.mark.parametrize("key", [c[0] for c in CRITERIA] + list(FOLDED))
+def test_criterion(catalog, catalog_reports, key):
+    result = run_criterion(_criterion("2-checks" if key in FOLDED else key),
+                           catalog, catalog_reports, DEFAULT_ORACLE_CAP)
+    print(f"[{result.status.upper():4}] {key}  "
           f"({result.seconds:.2f}s)  {result.detail}")
     assert result.status == "pass", result.detail
     budget = BUDGETS.get(result.key)
     if budget is not None:
         assert result.seconds < budget, (
             f"{result.key} took {result.seconds:.1f}s, budget {budget}s")
+    reps = [rep for rep in catalog_reports.values() if rep.lie_nilpotent]
+    for check, scope in FOLDED.get(key, ()):
+        ran = [rep for rep in reps if scope(rep)]
+        assert ran, f"{check} read on no report"
+        for rep in ran:
+            assert rep.checks[check] is True, (rep.name, rep.prime, check)
 
 
 def test_negative_oracle_cap_rejected(built):
