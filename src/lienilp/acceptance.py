@@ -55,8 +55,9 @@ class CriterionResult:
 
 def analyze_catalog(catalog: Catalog, oracle_cap: int) -> dict:
     """Every entry analysed once at each prime in PRIMES, keyed by
-    (name, p).  An analysis that raises is kept as its exception; a
-    criterion that reads it re-raises it and so fails."""
+    (name, p).  An analysis that raises is kept as its exception, its
+    message prefixed by NAME@pP; a criterion that reads it re-raises it
+    and so fails."""
     reports: dict = {}
     for entry in catalog.entries:
         for p in PRIMES:
@@ -65,6 +66,7 @@ def analyze_catalog(catalog: Catalog, oracle_cap: int) -> dict:
                     catalog.build(entry.name), p, name=entry.name,
                     oracle_cap=oracle_cap)
             except Exception as exc:
+                exc.args = (f"{entry.name}@p{p}: {exc}",)
                 reports[entry.name, p] = exc
     return reports
 

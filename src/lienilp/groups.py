@@ -90,9 +90,8 @@ class FiniteGroup:
         if table is not None:
             self._table = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
             self.order = int(self._table.shape[0])
-            if inverses is None:
-                # Each row is a permutation, so its 0 is its minimum.
-                inverses = self._table.argmin(axis=1)
+            # Each row is a permutation, so its 0 is its minimum.
+            inverses = self._table.argmin(axis=1)
         elif factors is not None:
             a, b = self._factors = tuple(factors)
             self.order = a.order * b.order
@@ -339,15 +338,6 @@ def _closure(g: FiniteGroup, seeds: Iterable[int], mask=None, gens=None
     return mask, gens
 
 
-def _greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
-    """Add the least element not yet reached until the left-normed
-    products of the generators reach every element."""
-    mask, gens = _closure(g, ())
-    while not mask.all():
-        _closure(g, [int(mask.argmin())], mask, gens)
-    return tuple(gens)
-
-
 def _check_associative_light(table: np.ndarray,
                              gens: Sequence[int]) -> None:
     """Light's test: (as)b == a(sb) for every generator s and all a, b.
@@ -355,7 +345,8 @@ def _check_associative_light(table: np.ndarray,
     The s passing it form a set closed under products: for s, t in it,
     (a(st))b = ((as)t)b = (as)(tb) = a(s(tb)) = a((st)b).  So when the
     left-normed products of the generators reach every element, as
-    ``_greedy_generators`` makes them, the test proves associativity."""
+    those of the seeds ``_closure`` keeps from every element do, the
+    test proves associativity."""
     for s in gens:
         left = table[:, table[s, :]]
         right = table[table[:, s], :]
@@ -395,7 +386,7 @@ def from_multiplication_table(table) -> FiniteGroup:
         t = perm[t[np.ix_(perm, perm)]]
 
     unchecked = FiniteGroup(table=t)  # its inverses are checked below
-    gens = _greedy_generators(unchecked)
+    gens = _closure(unchecked, range(1, n))[1]
     _check_associative_light(t, gens)
 
     # A finite monoid now: the first 0 of a row is a two-sided inverse.
@@ -404,7 +395,7 @@ def from_multiplication_table(table) -> FiniteGroup:
     bad = (t[idx, inverses] != 0) | (t[inverses, idx] != 0)
     if bad.any():
         raise NoInverseError(int(bad.argmax()))
-    return FiniteGroup(table=t, generators=gens, inverses=inverses)
+    return FiniteGroup(table=t, generators=gens)
 
 
 # --------------------------------------------------------------------------
@@ -468,11 +459,11 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     perms = np.concatenate(levels)
     del levels
     n = len(perms)
-    inverses = np.empty_like(perms)
-    inverses[np.arange(n)[:, None], perms] = np.arange(degree)
-    inverses = number(inverses)
     if n > ORACLE_ORDER_LIMIT:
-        return FiniteGroup(perms=perms, perm_index=index, inverses=inverses,
+        inverses = np.empty_like(perms)
+        inverses[np.arange(n)[:, None], perms] = np.arange(degree)
+        return FiniteGroup(perms=perms, perm_index=index,
+                           inverses=number(inverses),
                            generators=range(1, k + 1))
 
     # Row e is left multiplication by e: the generators' rows are looked
@@ -487,8 +478,7 @@ def from_permutation_generators(degree: int, generators) -> FiniteGroup:
     for e in range(k + 1, n):
         parent, j = divmod(found[e], k)
         table[parent].take(rows[j], out=table[e], mode="clip")
-    return FiniteGroup(table=table, inverses=inverses,
-                       generators=range(1, k + 1))
+    return FiniteGroup(table=table, generators=range(1, k + 1))
 
 
 # --------------------------------------------------------------------------

@@ -76,12 +76,7 @@ from .errors import (
     NotGeneratingError,
     OracleCapExceededError,
 )
-from .groups import (
-    ORACLE_ORDER_LIMIT,
-    FiniteGroup,
-    Subgroup,
-    subgroup_generated,
-)
+from .groups import ORACLE_ORDER_LIMIT, FiniteGroup, subgroup_generated
 
 DEFAULT_ORACLE_CAP = 512
 # (dtype, bound), narrowest first: every integer x below the bound in
@@ -405,18 +400,20 @@ def lower_lie_powers(algebra: GroupAlgebra) -> tuple[list[int], int]:
     return dims, len(dims)
 
 
-def dimension_series_direct(algebra: GroupAlgebra) -> list[Subgroup]:
-    """All dimension subgroups from the definition, cut at the first
-    trivial term: the m-th holds the g with delta_g - delta_1 in the
-    m-th upper Lie power, so the last, zero, power gives the trivial one.
-    The powers are nested: only one term's members are tested for the next."""
+def dimension_series_direct(algebra: GroupAlgebra) -> list[np.ndarray]:
+    """All dimension subgroups from the definition, each the sorted
+    array of its member indices, cut at the first term of size 1: the
+    m-th holds the g with delta_g - delta_1 in the m-th upper Lie power,
+    so the last, zero, power gives the trivial one.  The powers are
+    nested: only one term's members are tested for the next.  analyze
+    alone judges the terms, against the formula series."""
     chain = algebra._upper
     deltas = np.eye(algebra.n, dtype=chain[0].work)
     deltas[:, 0] -= 1
     members, series = np.arange(algebra.n), []
     for term in chain:
         members = members[~term.reduce(deltas[members]).any(axis=1)]
-        series.append(Subgroup(algebra.group, members))
-        if series[-1].is_trivial:
+        series.append(members)
+        if members.size == 1:
             break
     return series

@@ -144,9 +144,10 @@ def analyze(g: FiniteGroup, prime: int, *, name: str = "?",
         direct = dimension_series_direct(algebra)
         oracle = OracleResult(ran=True, t_upper=t_up, t_lower=t_low,
                               upper_dims=upper_dims, lower_dims=lower_dims)
-        orders["direct"] = [s.order for s in direct]
+        orders["direct"] = [len(m) for m in direct]
         checks["oracle_upper_matches_jennings"] = t_up == t_jennings
-        checks["direct_series_agrees"] = tuple(direct) == series_rec.terms
+        checks["direct_series_agrees"] = [m.tolist() for m in direct] \
+            == [t.members.tolist() for t in series_rec.terms]
         derived_order = series_rec.terms[1].order \
             if len(series_rec.terms) > 1 else 1
         checks["bounds"] = t_low <= t_up <= derived_order + 1

@@ -104,7 +104,7 @@ def test_failed_analysis_fails_its_criteria(catalog, monkeypatch):
     for key in ("1-golden-indices", "2-checks", "3-sharpness",
                 "6-negative-controls"):
         assert by_key[key].status == "fail", key
-        assert by_key[key].detail == "RuntimeError: analysis broke"
+        assert by_key[key].detail == "RuntimeError: D8@p2: analysis broke"
 
 
 CHECK_NAMES = ("bounds", "char_gt3_equality",

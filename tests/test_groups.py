@@ -134,11 +134,12 @@ def test_every_corrupted_entry_rejected(built, name):
 
 @pytest.mark.parametrize("name", ["D8", "Q8", "H27", "D8wrC2"])
 def test_light_gets_every_greedy_generator(built, monkeypatch, name):
-    """Light's test receives all of the greedy generators, and their
-    left-normed products reach every element: the condition under which
-    it proves associativity.  A single corrupted entry fails for some
-    one generator, so test_every_corrupted_entry_rejected cannot see a
-    check that drops generators."""
+    """Light's test receives all of the seeds the closure keeps from
+    every element, each the least element the ones before it miss, and
+    their left-normed products reach every element: the condition under
+    which it proves associativity.  A single corrupted entry fails for
+    some one generator, so test_every_corrupted_entry_rejected cannot
+    see a check that drops generators."""
     received = []
     light = groups._check_associative_light
 
@@ -150,19 +151,23 @@ def test_light_gets_every_greedy_generator(built, monkeypatch, name):
     table = built(name).dense_table().astype(np.int64)
     from_multiplication_table(table)
     g = FiniteGroup(table=table)
-    gens = groups._greedy_generators(g)
+    gens = tuple(groups._closure(g, range(1, g.order))[1])
     assert received == [gens]
+    for i, s in enumerate(gens):
+        assert s == groups._closure(g, gens[:i])[0].argmin()
     assert groups._closure(g, gens)[0].all()
 
 
 def test_light_checks_past_the_first_generator():
     """x o y = x + y + x1 y1 y2 e3 on GF(2)^3 (element 4 x1 + 2 x2 + x3)
-    is a loop, not a group.  Its first greedy generator e3 associates
-    with everything, and the second, e2, fails at (e1, e2, e1)."""
+    is a loop, not a group.  The first seed its closure keeps, e3,
+    associates with everything, and the second, e2, fails at
+    (e1, e2, e1)."""
     bits = [(x >> 2 & 1, x >> 1 & 1) for x in range(8)]
     table = [[x ^ y ^ (bits[x][0] & bits[y][0] & bits[y][1])
               for y in range(8)] for x in range(8)]
-    assert groups._greedy_generators(FiniteGroup(table=table)) == (1, 2, 4)
+    assert groups._closure(FiniteGroup(table=table), range(1, 8))[1] == \
+        [1, 2, 4]
     with pytest.raises(NotAssociativeError) as err:
         from_multiplication_table(table)
     assert err.value.triple == (4, 2, 4)

@@ -31,6 +31,7 @@ from lienilp.oracle import (
     lower_lie_powers,
     upper_lie_powers,
 )
+from lienilp.cli import main
 from lienilp.dimension import d_vector as series_d_vector, \
     is_lie_nilpotent, series_recursive, upper_index_jennings
 from lienilp.report import analyze
@@ -47,7 +48,7 @@ def contains_all(space, rows):
 def chains(alg):
     """The oracle's three chains on one algebra, in analyze's order."""
     return (upper_lie_powers(alg), lower_lie_powers(alg),
-            [s.order for s in dimension_series_direct(alg)])
+            [len(m) for m in dimension_series_direct(alg)])
 
 
 # --- products and brackets ----------------------------------------------------
@@ -620,11 +621,11 @@ def test_upper_chain_shared_by_one_algebra(built):
     dims, t = upper_lie_powers(alg)
     chain = list(alg._upper)
     assert len(chain) == t and chain[-1].dim == 0
-    series = dimension_series_direct(alg)
+    series = [m.tolist() for m in dimension_series_direct(alg)]
     assert upper_lie_powers(alg) == (dims, t)
     assert alg._upper == chain
     assert len(series) <= t
-    assert dimension_series_direct(alg) == series
+    assert [m.tolist() for m in dimension_series_direct(alg)] == series
 
 
 # --- dimension subgroups straight from the definition ------------------------------
@@ -633,11 +634,11 @@ def test_upper_chain_shared_by_one_algebra(built):
 def test_dimension_subgroup_direct(built):
     d8 = built("D8")
     alg = GroupAlgebra(d8, 2)
-    series = dimension_series_direct(alg)
+    series = [m.tolist() for m in dimension_series_direct(alg)]
     assert len(series) == 3
-    assert series[0].order == 8
-    assert series[1] == lower_central_series(d8)[1]
-    assert series[2].is_trivial
+    assert series[0] == list(range(8))
+    assert series[1] == lower_central_series(d8)[1].members.tolist()
+    assert series[2] == [0]
 
 
 def test_direct_series_matches_formula(catalog):
@@ -652,7 +653,40 @@ def test_direct_series_matches_formula(catalog):
                 continue
             direct = dimension_series_direct(GroupAlgebra(g, p))
             formula = series_recursive(g, p)
-            assert tuple(direct) == formula.terms, f"{entry.name}@p{p}"
+            assert [m.tolist() for m in direct] == \
+                [t.members.tolist() for t in formula.terms], \
+                f"{entry.name}@p{p}"
+
+
+def test_direct_term_not_a_subgroup_fails_its_check(built, monkeypatch,
+                                                    capsys):
+    """A kernel fault that puts a non-subgroup into the direct series is
+    a failed cross-check, not a crash: with D8's first upper Lie power at
+    p = 2 replaced by the span of delta_g - delta_1 for g = 1, 2, 4, the
+    first direct term is {0, 1, 2, 4}, not closed under inverse (1^-1 is
+    3).  analyze returns a report with direct_series_agrees False, and
+    scan finishes, marks D8 CHECK-FAILED and exits 3."""
+    d8 = built("D8").dense_table()
+    real = GroupAlgebra._upper.func
+
+    def planted(self):
+        chain = real(self)
+        if self.p == 2 and np.array_equal(self._table, d8):
+            rows = np.eye(8, dtype=np.int64)[[1, 2, 4]]
+            rows[:, 0] = -1
+            chain = [FpSubspace.from_vectors(rows, 2, 8)] + chain[1:]
+        return chain
+    monkeypatch.setattr(GroupAlgebra, "_upper", property(planted))
+    assert [m.tolist() for m in dimension_series_direct(
+        GroupAlgebra(built("D8"), 2))] == [[0, 1, 2, 4], [0, 2], [0]]
+    rep = analyze(built("D8"), 2, name="D8")
+    assert rep.failed_checks == ["direct_series_agrees"]
+    assert rep.series_orders["direct"] == [4, 2, 1]
+    assert main(["scan", "--prime", "2", "--max-order", "8"]) == 3
+    out = capsys.readouterr().out
+    flagged = [line.split()[0] for line in out.splitlines()
+               if "CHECK-FAILED" in line]
+    assert flagged == ["D8"], out
 
 
 # --- Lie nilpotency test -------------------------------------------------------------

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lienilp.catalog import Catalog
-from lienilp.dimension import d_vector, is_lie_nilpotent, series_recursive, \
-    verify_sum_rule
 from lienilp.groups import from_multiplication_table
 from lienilp.oracle import FpSubspace
 from lienilp.report import analyze
@@ -46,11 +44,15 @@ def test_reports_invariant_under_relabelling(name, p, data):
 
 @pytest.mark.parametrize("name", [e.name for e in _CATALOG.entries])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_sum_rule_everywhere(name, p):
-    g = _CATALOG.build(name)
-    if not is_lie_nilpotent(g, p):
-        pytest.skip("KG not Lie nilpotent")
-    assert verify_sum_rule(d_vector(series_recursive(g, p)))
+def test_sum_rule_everywhere(catalog_reports, name, p):
+    """The sum rule analyze checked holds on every Lie nilpotent catalog
+    pair, read off the shared reports; where KG is not Lie nilpotent no
+    d-vector and no sum rule is stored."""
+    rep = catalog_reports[name, p]
+    if rep.lie_nilpotent:
+        assert rep.checks["sum_rule"] is True
+    else:
+        assert rep.d_vector is None and "sum_rule" not in rep.checks
 
 
 # --- GF(p) subspaces ---------------------------------------------------------
